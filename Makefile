@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-report test race bench bench-full bench-serve bench-serve-smoke serve-smoke serve-fleet-smoke smoke-scale soak-smoke verify
+.PHONY: build vet lint lint-report test race perfbench-check bench bench-full bench-serve bench-serve-smoke serve-smoke smoke-scale soak-smoke verify
 
 build:
 	$(GO) build ./...
@@ -26,10 +26,18 @@ test:
 race:
 	$(GO) test -race ./...
 
+# The repository benchmark (perfbench/) is its own module, so the root
+# ./... patterns never compile it; it imports the serving packages
+# through a replace directive, so build (discarding the binary), vet and
+# test it here.
+perfbench-check:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
+
 # One-iteration benchmark smoke: catches benchmarks that panic or no
 # longer compile without paying for stable timings. The pipeline benches
 # additionally run at -cpu 1,4 (sequential vs parallel, identical
-# output), and benchpipeline writes the timings to BENCH_pipeline.json.
+# output), and benchpipeline writes the timings to the untracked
+# .bench_out/BENCH_pipeline.json, leaving the committed artifact alone.
 # The telemetry hot path (histogram observe, counter inc, trace-ID mint)
 # gets enough iterations for a readable ns/op, since its whole contract
 # is "cheap enough to leave on".
@@ -37,7 +45,8 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 	$(GO) test -run='^$$' -bench=Pipeline -benchtime=1x -cpu 1,4 .
 	$(GO) test -run='^$$' -bench='Histogram|CounterInc|NewTraceID' -benchtime=10000x ./internal/obs
-	$(GO) run ./cmd/benchpipeline -o BENCH_pipeline.json
+	mkdir -p .bench_out
+	$(GO) run ./cmd/benchpipeline -o .bench_out/BENCH_pipeline.json
 
 # Full benchmark including the 1000-bus power-flow scaling rows (the
 # synth1000 grid alone takes ~30 s to build, so verify runs the plain
@@ -74,25 +83,19 @@ serve-smoke:
 smoke-scale:
 	$(GO) run ./cmd/outaged -smoke -smoke-case synth300 -smoke-steps 8
 
-# Fleet smoke: an in-process fleet — model registry, two primary
-# backends booted by fingerprint, one canary backend, the router in
-# full-shadow mode — driven over real HTTP. Asserts byte-identical
-# proxying, fail-over with one backend killed mid-stream (zero dropped
-# detects), shadow responses byte-identical to the primary's, a 304
-# conditional registry pull, and a gated canary promotion.
-serve-fleet-smoke:
-	$(GO) run ./cmd/outagerouter -smoke
-
-# Churn soak smoke: an in-process fleet (registry, two traced backends,
-# the traced router) under mixed detect + binary-ingest load while the
-# harness injects churn — rolling reloads, a patch broadcast, an abrupt
-# backend kill and restart. Writes SOAK_report.json (per-tick isolation
-# accuracy, false-alarm rate, per-stage p50/p95/p99, availability, the
-# slowest retained traces and one merged multi-hop trace) and asserts
-# zero client-visible errors and >= 0.9 isolation accuracy throughout.
+# Churn soak smoke: an in-process fleet (registry, two traced primaries,
+# one canary backend, the traced router) under labelled detect and
+# binary-ingest load while the harness injects churn — rolling reloads
+# by fingerprint, a patch broadcast, an abrupt backend kill and restart,
+# a canary promotion. Writes SOAK_report.json and asserts: every routed
+# report byte-identical to the library answer, zero client-visible
+# errors across the kill, each rolling reload a 304 conditional
+# registry pull, a canary report with every shadow pair byte-identical
+# and promotable, a promotion that leaves every shard on the candidate,
+# >= 0.9 isolation accuracy, and a retained multi-hop trace.
 soak-smoke:
 	$(GO) run ./cmd/outagesoak -smoke
 
 # The tier-1 gate (see ROADMAP.md): build, vet, gridlint, race tests,
-# benchmark smoke.
-verify: build vet lint race bench bench-serve-smoke serve-smoke smoke-scale serve-fleet-smoke soak-smoke
+# the perfbench module, benchmark smoke, serving smokes.
+verify: build vet lint race perfbench-check bench bench-serve-smoke serve-smoke smoke-scale soak-smoke

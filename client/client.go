@@ -198,10 +198,7 @@ func (c *Client) postJSON(ctx context.Context, path string, body, out any) error
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(raw.Body, out); err != nil {
-		return fmt.Errorf("%w: decoding %s response: %v", ErrRequest, path, err)
-	}
-	return nil
+	return raw.Decode(out)
 }
 
 // getJSON runs the retry loop over a bodyless GET.
@@ -210,10 +207,7 @@ func (c *Client) getJSON(ctx context.Context, path string, out any) error {
 	if err != nil {
 		return err
 	}
-	if err := json.Unmarshal(raw.Body, out); err != nil {
-		return fmt.Errorf("%w: decoding %s response: %v", ErrRequest, path, err)
-	}
-	return nil
+	return raw.Decode(out)
 }
 
 // RawResponse is one complete HTTP response as PostRaw captured it —
@@ -244,6 +238,19 @@ func (r *RawResponse) Retryable() bool {
 		return false
 	}
 	return api.RetryableResponse(r.Status, r.Body)
+}
+
+// Decode unmarshals a 200 response's JSON body into out. Any other
+// status returns the typed *ServerError, so a GetRaw or PostRaw caller
+// on a route without a typed method gets the same errors as Detect.
+func (r *RawResponse) Decode(out any) error {
+	if r.Status != http.StatusOK {
+		return r.serverError()
+	}
+	if err := json.Unmarshal(r.Body, out); err != nil {
+		return fmt.Errorf("%w: decoding response: %v", ErrRequest, err)
+	}
+	return nil
 }
 
 // serverError builds the typed failure for a non-OK raw response.

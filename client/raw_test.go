@@ -151,6 +151,10 @@ func TestPostRawReturnsEveryResponse(t *testing.T) {
 	if !raw.Retryable() {
 		t.Fatal("overloaded response must classify retryable")
 	}
+	var se *ServerError
+	if err := raw.Decode(&struct{}{}); !errors.As(err, &se) || se.Code != api.CodeOverloaded {
+		t.Fatalf("Decode of a 429 = %v, want the typed overloaded ServerError", err)
+	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("server saw %d calls, want 1 (no HTTP-level retries in raw mode)", n)
 	}

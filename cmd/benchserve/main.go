@@ -21,8 +21,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -35,6 +33,7 @@ import (
 	"time"
 
 	"pmuoutage"
+	"pmuoutage/internal/fleettest"
 	"pmuoutage/internal/httpserve"
 	"pmuoutage/internal/loadgen"
 	"pmuoutage/internal/obs"
@@ -156,22 +155,17 @@ func run(out string, tiers []int, duration time.Duration, smoke bool) error {
 		return err
 	}
 	defer svc.Close()
-	if err := waitReady(svc); err != nil {
+	ready, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if _, err := fleettest.WaitReady(ready, svc, benchShard); err != nil {
 		return err
 	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := fleettest.Serve("", httpserve.New(svc, 30*time.Second, nil).Routes())
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: httpserve.New(svc, 30*time.Second, nil).Routes()}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-	defer func() {
-		_ = hs.Close()
-		<-errc
-	}()
-	base := "http://" + ln.Addr().String()
+	defer srv.Kill()
+	base := srv.URL
 
 	rep := report{
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -238,19 +232,6 @@ func run(out string, tiers []int, duration time.Duration, smoke bool) error {
 	return os.WriteFile(out, append(data, '\n'), 0o644)
 }
 
-func waitReady(svc *service.Service) error {
-	deadline := time.Now().Add(time.Minute)
-	for {
-		if _, err := svc.System(benchShard); err == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("shard %s never became ready", benchShard)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // pregenerate builds n request bodies in both transports from one
 // deterministic frame source, so the open-loop sender never generates
 // data on the hot path.
@@ -296,7 +277,7 @@ func runTier(client *http.Client, base, mode string, qps int, duration time.Dura
 
 	var (
 		mu        sync.Mutex
-		latencies []time.Duration
+		latencies []float64 // ms
 		ok, shed  int
 		firstErr  error
 	)
@@ -328,7 +309,7 @@ func runTier(client *http.Client, base, mode string, qps int, duration time.Dura
 			switch resp.StatusCode {
 			case http.StatusOK:
 				ok++
-				latencies = append(latencies, el)
+				latencies = append(latencies, float64(el)/float64(time.Millisecond))
 			case http.StatusTooManyRequests:
 				shed++
 			default:
@@ -345,27 +326,15 @@ func runTier(client *http.Client, base, mode string, qps int, duration time.Dura
 	if len(latencies) == 0 {
 		return row{}, fmt.Errorf("no successful requests")
 	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
+	sort.Float64s(latencies)
 	r := row{
 		QPS: qps, Mode: mode, Sent: sent, OK: ok, Shed: shed,
 		ShedRate: float64(shed) / float64(sent),
-		P50Ms:    percentileMs(latencies, 0.50),
-		P95Ms:    percentileMs(latencies, 0.95),
-		P99Ms:    percentileMs(latencies, 0.99),
+		P50Ms:    obs.NearestRank(latencies, 0.50),
+		P95Ms:    obs.NearestRank(latencies, 0.95),
+		P99Ms:    obs.NearestRank(latencies, 0.99),
 	}
 	return r, nil
-}
-
-// percentileMs is the exact nearest-rank percentile of sorted samples.
-func percentileMs(sorted []time.Duration, p float64) float64 {
-	rank := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return float64(sorted[rank]) / float64(time.Millisecond)
 }
 
 // measureIngress times one sample's decode in each transport — JSON
@@ -434,7 +403,9 @@ func measureTracing(m *pmuoutage.Model, enc []byte, iters int) (tracingOverhead,
 			return 0, err
 		}
 		defer svc.Close()
-		if err := waitReady(svc); err != nil {
+		ready, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if _, err := fleettest.WaitReady(ready, svc, benchShard); err != nil {
 			return 0, err
 		}
 		h := httpserve.New(svc, 30*time.Second, nil).Routes()

@@ -21,16 +21,13 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"log/slog"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -41,6 +38,7 @@ import (
 
 	"pmuoutage"
 	"pmuoutage/client"
+	"pmuoutage/internal/fleettest"
 	"pmuoutage/internal/httpserve"
 	"pmuoutage/internal/obs"
 	"pmuoutage/internal/registry"
@@ -276,27 +274,20 @@ func runSmoke(caseName string, trainSteps int) error {
 		return err
 	}
 	defer svc.Close()
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	srv, err := fleettest.Serve("", httpserve.New(svc, 30*time.Second, smokeLog).Routes())
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: httpserve.New(svc, 30*time.Second, smokeLog).Routes()}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.Serve(ln) }()
-	base := "http://" + ln.Addr().String()
+	defer srv.Kill() // a no-op after the graceful stop below
+	cl, err := client.New(client.Config{BaseURL: srv.URL})
+	if err != nil {
+		return err
+	}
 
 	// Wait for the shard to train, then build a known-outage sample.
-	var sys *pmuoutage.System
-	for sys == nil {
-		if sys, err = svc.System("smoke"); err != nil {
-			if !service.Retryable(err) {
-				return err
-			}
-			if !sleepCtx(ctx, 20*time.Millisecond) {
-				return ctx.Err()
-			}
-		}
+	sys, err := fleettest.WaitReady(ctx, svc, "smoke")
+	if err != nil {
+		return err
 	}
 	line := sys.ValidLines()[0]
 	samples, err := sys.SimulateOutageContext(ctx, []int{line}, 2)
@@ -308,10 +299,6 @@ func runSmoke(caseName string, trainSteps int) error {
 		return err
 	}
 
-	cl, err := client.New(client.Config{BaseURL: base})
-	if err != nil {
-		return err
-	}
 	got, err := cl.Detect(ctx, "smoke", samples)
 	if err != nil {
 		return err
@@ -348,27 +335,24 @@ func runSmoke(caseName string, trainSteps int) error {
 
 	// Binary ingest: one wire-frame round-trip over real HTTP must land
 	// on the same monitor path and answer with the JSON response shape.
-	if err := checkBinaryIngest(ctx, base, samples[0]); err != nil {
+	if err := checkBinaryIngest(ctx, cl, samples[0]); err != nil {
 		return err
 	}
 
 	// Telemetry end-to-end: a caller-supplied trace ID must be echoed on
 	// the response, and /metrics must show the traffic just served with
 	// internally consistent histograms.
-	if err := checkTraceEcho(ctx, base); err != nil {
+	if err := checkTraceEcho(ctx, cl); err != nil {
 		return err
 	}
-	if err := checkMetrics(ctx, base); err != nil {
+	if err := checkMetrics(ctx, cl); err != nil {
 		return err
 	}
 
 	sdCtx, sdCancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer sdCancel()
-	if err := httpSrv.Shutdown(sdCtx); err != nil {
+	if err := srv.Stop(sdCtx); err != nil {
 		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
-		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
 }
@@ -376,7 +360,7 @@ func runSmoke(caseName string, trainSteps int) error {
 // checkBinaryIngest encodes one sample with the wire codec, posts it as
 // application/x-pmu-frame, and asserts the daemon accepts and scores
 // it.
-func checkBinaryIngest(ctx context.Context, base string, sample pmuoutage.Sample) error {
+func checkBinaryIngest(ctx context.Context, cl *client.Client, sample pmuoutage.Sample) error {
 	f := wire.GetFrame()
 	defer wire.PutFrame(f)
 	if err := f.Pack(1, sample.Vm, sample.Va, nil); err != nil {
@@ -386,23 +370,13 @@ func checkBinaryIngest(ctx context.Context, base string, sample pmuoutage.Sample
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/ingest?shard=smoke", bytes.NewReader(enc))
+	raw, err := cl.PostRaw(ctx, "/v1/ingest?shard=smoke", httpserve.FrameContentType, enc)
 	if err != nil {
 		return err
-	}
-	req.Header.Set("Content-Type", httpserve.FrameContentType)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("binary ingest: HTTP %d: %s", resp.StatusCode, body)
 	}
 	var out httpserve.IngestResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return fmt.Errorf("binary ingest response: %w", err)
+	if err := raw.Decode(&out); err != nil {
+		return fmt.Errorf("binary ingest: %w", err)
 	}
 	if out.Shard != "smoke" {
 		return fmt.Errorf("binary ingest answered for shard %q", out.Shard)
@@ -410,23 +384,16 @@ func checkBinaryIngest(ctx context.Context, base string, sample pmuoutage.Sample
 	return nil
 }
 
-// checkTraceEcho round-trips a raw request with a caller-supplied
-// X-Trace-Id and asserts the daemon echoes it back verbatim.
-func checkTraceEcho(ctx context.Context, base string) error {
+// checkTraceEcho sends a caller-supplied X-Trace-Id and asserts the
+// daemon echoes it back verbatim.
+func checkTraceEcho(ctx context.Context, cl *client.Client) error {
 	const want = "feedfacecafe0001"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
+	raw, err := cl.GetRaw(obs.WithTraceID(ctx, want), "/healthz")
 	if err != nil {
 		return err
 	}
-	req.Header.Set(obs.TraceHeader, want)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	_, _ = io.Copy(io.Discard, resp.Body)
-	if got := resp.Header.Get(obs.TraceHeader); got != want {
-		return fmt.Errorf("trace echo: sent %q, got %q back", want, got)
+	if raw.TraceID != want {
+		return fmt.Errorf("trace echo: sent %q, got %q back", want, raw.TraceID)
 	}
 	return nil
 }
@@ -434,24 +401,15 @@ func checkTraceEcho(ctx context.Context, base string) error {
 // checkMetrics scrapes /metrics and asserts the smoke traffic is
 // visible there: non-zero detect counters for the smoke shard and
 // cumulative stage-histogram buckets that never decrease with le.
-func checkMetrics(ctx context.Context, base string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
+func checkMetrics(ctx context.Context, cl *client.Client) error {
+	raw, err := cl.GetRaw(ctx, "/metrics")
 	if err != nil {
 		return err
 	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
+	if raw.Status != http.StatusOK {
+		return fmt.Errorf("GET /metrics: HTTP %d", raw.Status)
 	}
-	defer func() { _ = resp.Body.Close() }()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	return verifyMetricsBody(string(body))
+	return verifyMetricsBody(string(raw.Body))
 }
 
 // verifyMetricsBody is the pure assertion half of checkMetrics.
@@ -514,16 +472,4 @@ func verifyMetricsBody(body string) error {
 		return errors.New("/metrics has no stage histogram buckets")
 	}
 	return nil
-}
-
-// sleepCtx waits d unless ctx ends first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -14,6 +13,7 @@ import (
 
 	"pmuoutage"
 	"pmuoutage/client"
+	"pmuoutage/internal/fleettest"
 	"pmuoutage/internal/httpserve"
 	"pmuoutage/internal/service"
 )
@@ -36,31 +36,34 @@ func newTestServer(t *testing.T) (*service.Service, *httptest.Server) {
 	return svc, ts
 }
 
-// waitReady polls until the shard serves or the test deadline hits.
+// waitReady waits until the shard serves or a minute passes.
 func waitReady(t *testing.T, svc *service.Service, name string) *pmuoutage.System {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		if sys, err := svc.System(name); err == nil {
-			return sys
-		}
-		time.Sleep(5 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	sys, err := fleettest.WaitReady(ctx, svc, name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("shard %s never became ready", name)
-	return nil
+	return sys
 }
 
-func postJSON(t *testing.T, url string, body any) *http.Response {
+// post sends body as JSON and returns the response, whatever its status.
+func post(t *testing.T, ts *httptest.Server, path string, body any) *client.RawResponse {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
+	cl, err := client.New(client.Config{BaseURL: ts.URL, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp
+	raw, err := cl.PostRaw(context.Background(), path, "application/json", b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // TestDetectEndpointMatchesDirect: a served detect response is
@@ -105,13 +108,12 @@ func TestErrorMapping(t *testing.T) {
 	}
 
 	t.Run("unknown shard 404", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/detect", httpserve.DetectRequest{Shard: "nope", Samples: good})
-		defer func() { _ = resp.Body.Close() }()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("status = %d", resp.StatusCode)
+		raw := post(t, ts, "/v1/detect", httpserve.DetectRequest{Shard: "nope", Samples: good})
+		if raw.Status != http.StatusNotFound {
+			t.Fatalf("status = %d", raw.Status)
 		}
 		var e httpserve.ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		if err := json.Unmarshal(raw.Body, &e); err != nil {
 			t.Fatal(err)
 		}
 		if e.Retryable || !strings.Contains(e.Error, "unknown shard") {
@@ -120,10 +122,9 @@ func TestErrorMapping(t *testing.T) {
 	})
 	t.Run("bad sample 400", func(t *testing.T) {
 		bad := []pmuoutage.Sample{{Vm: []float64{1}, Va: []float64{0}}}
-		resp := postJSON(t, ts.URL+"/v1/detect", httpserve.DetectRequest{Shard: "east", Samples: bad})
-		defer func() { _ = resp.Body.Close() }()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status = %d", resp.StatusCode)
+		raw := post(t, ts, "/v1/detect", httpserve.DetectRequest{Shard: "east", Samples: bad})
+		if raw.Status != http.StatusBadRequest {
+			t.Fatalf("status = %d", raw.Status)
 		}
 	})
 	t.Run("malformed body 400", func(t *testing.T) {
@@ -140,25 +141,23 @@ func TestErrorMapping(t *testing.T) {
 		if err := svc.Kill("west"); err != nil {
 			t.Fatal(err)
 		}
-		resp := postJSON(t, ts.URL+"/v1/detect", httpserve.DetectRequest{Shard: "west", Samples: good})
-		defer func() { _ = resp.Body.Close() }()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("killed shard status = %d", resp.StatusCode)
+		raw := post(t, ts, "/v1/detect", httpserve.DetectRequest{Shard: "west", Samples: good})
+		if raw.Status != http.StatusServiceUnavailable {
+			t.Fatalf("killed shard status = %d", raw.Status)
 		}
-		if resp.Header.Get("Retry-After") == "" {
+		if raw.RetryAfter == "" {
 			t.Fatal("retryable 503 without Retry-After header")
 		}
 		var e httpserve.ErrorResponse
-		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		if err := json.Unmarshal(raw.Body, &e); err != nil {
 			t.Fatal(err)
 		}
 		if !e.Retryable {
 			t.Fatalf("error body = %+v", e)
 		}
-		resp2 := postJSON(t, ts.URL+"/v1/detect", httpserve.DetectRequest{Shard: "east", Samples: good})
-		defer func() { _ = resp2.Body.Close() }()
-		if resp2.StatusCode != http.StatusOK {
-			t.Fatalf("surviving shard status = %d", resp2.StatusCode)
+		raw2 := post(t, ts, "/v1/detect", httpserve.DetectRequest{Shard: "east", Samples: good})
+		if raw2.Status != http.StatusOK {
+			t.Fatalf("surviving shard status = %d", raw2.Status)
 		}
 	})
 }
@@ -175,14 +174,12 @@ func TestIngestShardsStatsHealth(t *testing.T) {
 
 	var confirmed *pmuoutage.Event
 	for _, smp := range samples {
-		resp := postJSON(t, ts.URL+"/v1/ingest", httpserve.IngestRequest{Shard: "east", Sample: smp})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("ingest status = %d", resp.StatusCode)
+		raw := post(t, ts, "/v1/ingest", httpserve.IngestRequest{Shard: "east", Sample: smp})
+		if raw.Status != http.StatusOK {
+			t.Fatalf("ingest status = %d", raw.Status)
 		}
 		var out httpserve.IngestResponse
-		err := json.NewDecoder(resp.Body).Decode(&out)
-		_ = resp.Body.Close()
-		if err != nil {
+		if err := json.Unmarshal(raw.Body, &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.Event != nil {
@@ -293,10 +290,9 @@ func TestReloadEndpoint(t *testing.T) {
 	}
 
 	t.Run("missing artifact 400", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/reload", httpserve.ReloadRequest{Shard: "east", Path: filepath.Join(t.TempDir(), "nope.json")})
-		defer func() { _ = resp.Body.Close() }()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status = %d", resp.StatusCode)
+		raw := post(t, ts, "/v1/reload", httpserve.ReloadRequest{Shard: "east", Path: filepath.Join(t.TempDir(), "nope.json")})
+		if raw.Status != http.StatusBadRequest {
+			t.Fatalf("status = %d", raw.Status)
 		}
 	})
 	t.Run("corrupt artifact 400", func(t *testing.T) {
@@ -304,17 +300,15 @@ func TestReloadEndpoint(t *testing.T) {
 		if err := os.WriteFile(bad, []byte("not a model"), 0o600); err != nil {
 			t.Fatal(err)
 		}
-		resp := postJSON(t, ts.URL+"/v1/reload", httpserve.ReloadRequest{Shard: "east", Path: bad})
-		defer func() { _ = resp.Body.Close() }()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("status = %d", resp.StatusCode)
+		raw := post(t, ts, "/v1/reload", httpserve.ReloadRequest{Shard: "east", Path: bad})
+		if raw.Status != http.StatusBadRequest {
+			t.Fatalf("status = %d", raw.Status)
 		}
 	})
 	t.Run("unknown shard 404", func(t *testing.T) {
-		resp := postJSON(t, ts.URL+"/v1/reload", httpserve.ReloadRequest{Shard: "nope"})
-		defer func() { _ = resp.Body.Close() }()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("status = %d", resp.StatusCode)
+		raw := post(t, ts, "/v1/reload", httpserve.ReloadRequest{Shard: "nope"})
+		if raw.Status != http.StatusNotFound {
+			t.Fatalf("status = %d", raw.Status)
 		}
 	})
 }

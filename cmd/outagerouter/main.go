@@ -28,7 +28,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -57,17 +56,8 @@ func main() {
 		traceSlow  = flag.Duration("trace-slow", 100*time.Millisecond, "tail sampling keeps traces at least this slow (negative disables the latency rule)")
 		traceEvery = flag.Int("trace-sample", 0, "tail sampling also keeps every Nth trace regardless of latency (0 disables)")
 		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
-		smoke      = flag.Bool("smoke", false, "self-test: run a 2-backend fleet with canary promotion in-process, exit")
 	)
 	flag.Parse()
-
-	if *smoke {
-		if err := runFleetSmoke(); err != nil {
-			log.Fatalf("serve-fleet-smoke: %v", err)
-		}
-		fmt.Println("serve-fleet-smoke ok")
-		return
-	}
 
 	level, err := obs.ParseLevel(*logLevel)
 	if err != nil {

@@ -1,28 +1,31 @@
 // Command outagesoak is the churn soak harness: it boots a full
-// in-process fleet — model registry, N traced outaged backends, the
-// router front-end — drives labelled detect and binary-frame ingest
-// traffic at it, and injects churn mid-stream: rolling reloads, an
-// incremental patch apply, an abrupt backend kill, a restart, and (with
-// -canary) a gated canary promotion. Throughout, it samples per-stage
-// latency quantiles and SLO signals from GET /v1/fleet and classifies
-// every detect answer against locally computed truth.
+// in-process fleet — model registry, N traced outaged primaries, one
+// canary backend, the router front-end — drives labelled detect and
+// binary-frame ingest traffic at it, and injects churn mid-stream:
+// rolling reloads by fingerprint, an incremental patch broadcast, an
+// abrupt backend kill, a restart on the same address, and a gated
+// canary promotion. Throughout, it samples per-stage latency quantiles
+// and SLO signals from GET /v1/fleet and checks every detect answer
+// against the library's: byte-identical reports, and the true line
+// isolated.
 //
 // The run emits a structured report (default SOAK_report.json):
 // the churn event log, a time series of isolation accuracy,
 // false-alarm rate, per-hop p50/p95/p99 latencies, shed/error counts
-// and availability, plus the slowest traces the router's tail sampler
-// retained. In -smoke mode (wired to `make soak-smoke`) the run is
-// short and the harness asserts its own acceptance: no dropped
-// detects across a kill, accuracy held, and at least one retained
-// multi-hop trace stitching route → proxy → backend stages.
+// and availability, the canary report read before promotion, plus the
+// slowest traces the router's tail sampler retained. In -smoke mode
+// (wired to `make soak-smoke`) the run is short and the harness asserts
+// its own acceptance: every churn event succeeded, no dropped or
+// differing detects across the kill, a byte-identical promotable
+// canary, accuracy held, and at least one retained multi-hop trace
+// stitching route → proxy → backend stages.
 //
 // Example:
 //
-//	outagesoak -duration 60s -backends 3 -canary -out SOAK_report.json
+//	outagesoak -duration 60s -backends 3 -out SOAK_report.json
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,8 +34,6 @@ import (
 	"io"
 	"log"
 	"log/slog"
-	"math"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -44,6 +45,7 @@ import (
 	"pmuoutage"
 	"pmuoutage/api"
 	"pmuoutage/client"
+	"pmuoutage/internal/fleettest"
 	"pmuoutage/internal/httpserve"
 	"pmuoutage/internal/obs"
 	"pmuoutage/internal/registry"
@@ -57,7 +59,6 @@ func main() {
 		duration = flag.Duration("duration", 30*time.Second, "traffic phase length")
 		tick     = flag.Duration("tick", 2*time.Second, "report time-series resolution")
 		nback    = flag.Int("backends", 2, "primary backend count (at least 2: one gets killed)")
-		canary   = flag.Bool("canary", false, "add a canary backend and promote the candidate near the end")
 		caseName = flag.String("case", "ieee14", "grid case every shard trains on")
 		steps    = flag.Int("train-steps", 12, "training window length")
 		seed     = flag.Int64("seed", 7, "training seed")
@@ -68,7 +69,6 @@ func main() {
 	cfg := soakConfig{
 		Case:       *caseName,
 		Backends:   *nback,
-		Canary:     *canary,
 		DurationMS: duration.Milliseconds(),
 		TickMS:     tick.Milliseconds(),
 		TrainSteps: *steps,
@@ -106,7 +106,6 @@ func main() {
 type soakConfig struct {
 	Case       string `json:"case"`
 	Backends   int    `json:"backends"`
-	Canary     bool   `json:"canary"`
 	DurationMS int64  `json:"duration_ms"`
 	TickMS     int64  `json:"tick_ms"`
 	TrainSteps int    `json:"train_steps"`
@@ -117,7 +116,7 @@ type soakConfig struct {
 // soakEvent is one churn action and its outcome.
 type soakEvent struct {
 	AtMS   int64  `json:"at_ms"`
-	Kind   string `json:"kind"` // reload | patch | kill | restart | promote
+	Kind   string `json:"kind"` // reload | patch | kill | restart | canary | promote
 	Detail string `json:"detail,omitempty"`
 	Err    string `json:"error,omitempty"`
 }
@@ -157,6 +156,7 @@ type soakTotals struct {
 	CorrectIsolations uint64  `json:"correct_isolations"`
 	NormalRequests    uint64  `json:"normal_requests"`
 	FalseAlarms       uint64  `json:"false_alarms"`
+	Mismatched        uint64  `json:"mismatched"`
 	IsolationAccuracy float64 `json:"isolation_accuracy"`
 	FalseAlarmRate    float64 `json:"false_alarm_rate"`
 	TracesKept        uint64  `json:"traces_kept"`
@@ -165,14 +165,18 @@ type soakTotals struct {
 
 // soakReport is the SOAK_report.json document.
 type soakReport struct {
-	Config        soakConfig  `json:"config"`
-	StartMS       int64       `json:"start_ms"`
-	DurationMS    int64       `json:"duration_ms"`
-	Events        []soakEvent `json:"events"`
-	Series        []tickRow   `json:"series"`
-	Totals        soakTotals  `json:"totals"`
-	SlowestTraces []api.Trace `json:"slowest_traces"`
-	MultiHopTrace *api.Trace  `json:"multi_hop_trace,omitempty"`
+	Config     soakConfig  `json:"config"`
+	StartMS    int64       `json:"start_ms"`
+	DurationMS int64       `json:"duration_ms"`
+	Events     []soakEvent `json:"events"`
+	Series     []tickRow   `json:"series"`
+	Totals     soakTotals  `json:"totals"`
+	// FirstMismatch is the diff of the first routed answer that
+	// differed from the library's.
+	FirstMismatch string            `json:"first_mismatch,omitempty"`
+	Canary        *api.CanaryReport `json:"canary,omitempty"`
+	SlowestTraces []api.Trace       `json:"slowest_traces"`
+	MultiHopTrace *api.Trace        `json:"multi_hop_trace,omitempty"`
 }
 
 // bucket accumulates one tick's observations.
@@ -180,16 +184,18 @@ type bucket struct {
 	detects, errors, shed, frames uint64
 	outage, outageOK              uint64
 	normal, falseAlarm            uint64
+	mismatched                    uint64
 	latMS                         []float64
 	fleet                         *api.FleetHealth
 }
 
 // stats is the run-wide collector the traffic goroutines feed.
 type stats struct {
-	mu    sync.Mutex
-	start time.Time
-	tick  time.Duration
-	ticks []*bucket
+	mu            sync.Mutex
+	start         time.Time
+	tick          time.Duration
+	ticks         []*bucket
+	firstMismatch string
 }
 
 func (s *stats) at(now time.Time) *bucket {
@@ -203,28 +209,35 @@ func (s *stats) at(now time.Time) *bucket {
 	return s.ticks[i]
 }
 
-func (s *stats) detect(now time.Time, latency time.Duration, status int, outage, correct, alarmed bool, err error) {
+func (s *stats) detect(now time.Time, latency time.Duration, res detectResult) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b := s.at(now)
 	b.detects++
 	b.latMS = append(b.latMS, float64(latency)/float64(time.Millisecond))
-	switch {
-	case err != nil || status >= http.StatusInternalServerError:
-		b.errors++
-		return
-	case status == http.StatusTooManyRequests:
+	switch res.status {
+	case http.StatusOK:
+	case http.StatusTooManyRequests:
 		b.shed++
 		return
+	default:
+		b.errors++
+		return
 	}
-	if outage {
+	if res.mismatch != nil {
+		b.mismatched++
+		if s.firstMismatch == "" {
+			s.firstMismatch = res.mismatch.Error()
+		}
+	}
+	if res.outage {
 		b.outage++
-		if correct {
+		if res.correct {
 			b.outageOK++
 		}
 	} else {
 		b.normal++
-		if alarmed {
+		if res.alarmed {
 			b.falseAlarm++
 		}
 	}
@@ -254,8 +267,9 @@ func run(cfg soakConfig) (*soakReport, error) {
 	quiet := obs.NewTextLogger(io.Discard, slog.LevelDebug)
 
 	// One trained artifact published once; every backend boots from the
-	// registry by fingerprint. Reload and patch churn resolve to the
-	// same weights (the patch is trained under the base seed, so it
+	// registry by fingerprint, and the same fingerprint is the canary
+	// candidate. Reload, patch and promote churn resolve to the same
+	// weights (the patch is trained under the base seed, so it
 	// reproduces the original signatures), keeping the local truth
 	// valid across every churn event.
 	fmt.Printf("outagesoak: training %s (%d steps)...\n", cfg.Case, cfg.TrainSteps)
@@ -278,32 +292,29 @@ func run(cfg soakConfig) (*soakReport, error) {
 	if _, err := store.Publish(model); err != nil {
 		return nil, err
 	}
-	regSrv, err := newSoakServer("", registry.NewServer(store, quiet).Routes())
+	regSrv, err := fleettest.Serve("", registry.NewServer(store, quiet).Routes())
 	if err != nil {
 		return nil, err
 	}
-	defer regSrv.stop()
+	defer regSrv.Kill()
 
 	patchPath, err := buildPatch(ctx, model, regDir, opts.Seed)
 	if err != nil {
 		return nil, err
 	}
 
-	// Backends, every one traced: tail sampling keeps slow and
-	// erroneous traces plus a deterministic 1-in-1 sample so the
-	// post-run trace assertions never race the sampler.
-	total := cfg.Backends
-	if cfg.Canary {
-		total++
-	}
-	backends := make([]*soakBackend, 0, total)
+	// The primaries plus one canary backend, every one traced: tail
+	// sampling keeps slow and erroneous traces plus a deterministic
+	// 1-in-1 sample so the post-run trace assertions never race the
+	// sampler.
+	backends := make([]*soakBackend, 0, cfg.Backends+2)
 	defer func() {
 		for _, b := range backends {
-			b.stop()
+			b.kill()
 		}
 	}()
-	for i := 0; i < total; i++ {
-		b, err := newSoakBackend(ctx, "", regSrv.base, fp, opts, quiet)
+	for i := 0; i <= cfg.Backends; i++ {
+		b, err := newSoakBackend(ctx, "", regSrv.URL, fp, opts, quiet)
 		if err != nil {
 			return nil, err
 		}
@@ -312,31 +323,35 @@ func run(cfg soakConfig) (*soakReport, error) {
 	primaries := backends[:cfg.Backends]
 	primaryURLs := make([]string, len(primaries))
 	for i, b := range primaries {
-		primaryURLs[i] = b.srv.base
+		primaryURLs[i] = b.srv.URL
 	}
-	rcfg := router.Config{
-		Backends:    primaryURLs,
-		ProbeEvery:  20 * time.Millisecond,
-		FleetWindow: 3 * time.Duration(cfg.TickMS) * time.Millisecond,
-		Logger:      quiet,
-		Tracer:      obs.NewTracer(obs.TracerConfig{Capacity: 512, SlowThreshold: 50 * time.Millisecond, SampleEvery: 1}),
-	}
-	if cfg.Canary {
-		rcfg.CanaryBackends = []string{backends[total-1].srv.base}
-		rcfg.Candidate = fp
-		rcfg.CanaryPercent = 50
-		rcfg.MinPairs = 1
-	}
-	rt, err := router.New(ctx, rcfg)
+	tracer := obs.NewTracer(obs.TracerConfig{Capacity: 512, SlowThreshold: 50 * time.Millisecond, SampleEvery: 1})
+	rt, err := router.New(ctx, router.Config{
+		Backends:       primaryURLs,
+		CanaryBackends: []string{backends[cfg.Backends].srv.URL},
+		Candidate:      fp,
+		CanaryPercent:  50,
+		MinPairs:       1,
+		ProbeEvery:     20 * time.Millisecond,
+		FleetWindow:    3 * time.Duration(cfg.TickMS) * time.Millisecond,
+		Logger:         quiet,
+		Tracer:         tracer,
+	})
 	if err != nil {
 		return nil, err
 	}
 	defer rt.Close()
-	rtSrv, err := newSoakServer("", rt.Routes())
+	rtSrv, err := fleettest.Serve("", rt.Routes())
 	if err != nil {
 		return nil, err
 	}
-	defer rtSrv.stop()
+	defer rtSrv.Kill()
+	// No retries anywhere on the data path: a request the fleet drops
+	// must show as an error, not be papered over by a second attempt.
+	rtCli, err := client.New(client.Config{BaseURL: rtSrv.URL, MaxRetries: -1})
+	if err != nil {
+		return nil, err
+	}
 
 	// Known-truth traffic: one outage scenario and one normal-operation
 	// scenario against the same model the fleet serves.
@@ -345,19 +360,11 @@ func run(cfg soakConfig) (*soakReport, error) {
 		return nil, err
 	}
 	line := sys.ValidLines()[0]
-	outageSamples, err := sys.SimulateOutageContext(ctx, []int{line}, 2)
+	outage, err := newScenario(ctx, sys, rtSrv.URL, line, true)
 	if err != nil {
 		return nil, err
 	}
-	normalSamples, err := sys.SimulateOutageContext(ctx, nil, 2)
-	if err != nil {
-		return nil, err
-	}
-	outageBody, err := json.Marshal(api.DetectRequest{Shard: "soak", Samples: outageSamples})
-	if err != nil {
-		return nil, err
-	}
-	normalBody, err := json.Marshal(api.DetectRequest{Shard: "soak", Samples: normalSamples})
+	normal, err := newScenario(ctx, sys, rtSrv.URL, line, false)
 	if err != nil {
 		return nil, err
 	}
@@ -376,25 +383,27 @@ func run(cfg soakConfig) (*soakReport, error) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; tctx.Err() == nil; i += 2 {
-				outage := i%4 < 2 // alternate scenario pairs per driver
-				body, scenario := normalBody, "normal"
-				if outage {
-					body, scenario = outageBody, "outage-line-"+strconv.Itoa(line)
+				sc := normal
+				if i%4 < 2 { // alternate scenario pairs per driver
+					sc = outage
 				}
 				t0 := time.Now()
-				status, correct, alarmed, err := detectOnce(tctx, rtSrv.base, body, scenario, line, outage)
+				res := sc.detect(tctx)
 				if tctx.Err() != nil {
 					return
 				}
-				st.detect(t0, time.Since(t0), status, outage, correct, alarmed, err)
-				sleepCtx(tctx, 5*time.Millisecond)
+				st.detect(t0, time.Since(t0), res)
+				select {
+				case <-tctx.Done():
+				case <-time.After(5 * time.Millisecond):
+				}
 			}
 		}(w)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		streamFrames(tctx, rtSrv.base, outageSamples[0], st)
+		streamFrames(tctx, rtCli, outage.samples[0], st)
 	}()
 
 	// The fleet sampler: one /v1/fleet snapshot per tick feeds the
@@ -410,7 +419,8 @@ func run(cfg soakConfig) (*soakReport, error) {
 				return
 			case now := <-tk.C:
 				var fh api.FleetHealth
-				if err := getJSON(tctx, rtSrv.base+"/v1/fleet", &fh); err == nil {
+				raw, err := rtCli.GetRaw(tctx, "/v1/fleet")
+				if err == nil && raw.Decode(&fh) == nil {
 					st.fleetSnapshot(now.Add(-st.tick/2), &fh)
 				}
 			}
@@ -428,26 +438,42 @@ func run(cfg soakConfig) (*soakReport, error) {
 	}
 	churn := func() {
 		frac := func(f float64) bool {
-			return sleepCtx(tctx, time.Duration(f*float64(soakDur))-time.Since(start))
+			select {
+			case <-tctx.Done():
+				return false
+			case <-time.After(time.Until(start.Add(time.Duration(f * float64(soakDur))))):
+				return true
+			}
 		}
 		// Rolling reload: one backend at a time, by fingerprint, via the
 		// backend's own control plane (the router's /v1/reload is a
-		// broadcast — rolling is the operator's safer cadence).
+		// broadcast — rolling is the operator's safer cadence). The
+		// artifact is cached from boot, so each pull must be a
+		// conditional one the registry answers 304 Not Modified.
 		if !frac(0.25) {
 			return
 		}
 		for i, b := range primaries {
+			_, before := b.reg.Stats()
 			_, err := b.cli.ReloadModel(tctx, "soak", fp)
-			note("reload", fmt.Sprintf("backend %d by fingerprint", i), err)
+			_, after := b.reg.Stats()
+			if err == nil && after == before {
+				err = errors.New("reload by fingerprint made no conditional registry pull")
+			}
+			note("reload", fmt.Sprintf("backend %d by fingerprint, %d not-modified pulls", i, after), err)
 		}
 		// Patch apply, broadcast through the router.
 		if !frac(0.45) {
 			return
 		}
 		var fr api.FleetReload
-		err := postJSON(tctx, rtSrv.base+"/v1/reload", api.ReloadRequest{Shard: "soak", PatchPath: patchPath}, &fr)
-		if err == nil && fr.Failed {
-			err = errors.New("patch reload incomplete on some backend")
+		body, _ := json.Marshal(api.ReloadRequest{Shard: "soak", PatchPath: patchPath}) // plain strings always marshal
+		raw, err := rtCli.PostRaw(tctx, "/v1/reload", "application/json", body)
+		if err == nil {
+			err = raw.Decode(&fr)
+		}
+		if err == nil {
+			err = servesModel("patch", fr.Failed, fr.Results, fp)
 		}
 		note("patch", filepath.Base(patchPath), err)
 		// Abrupt kill mid-traffic; the router must fail in-flight
@@ -455,28 +481,30 @@ func run(cfg soakConfig) (*soakReport, error) {
 		if !frac(0.6) {
 			return
 		}
-		addr := primaries[0].srv.addr
-		note("kill", "backend 0 "+addr, primaries[0].kill())
+		addr := primaries[0].srv.Addr
+		primaries[0].kill()
+		note("kill", "backend 0 "+addr, nil)
 		// Restart on the same address; the prober readmits it.
 		if !frac(0.8) {
 			return
 		}
-		nb, err := newSoakBackend(tctx, addr, regSrv.base, fp, opts, quiet)
+		nb, err := newSoakBackend(tctx, addr, regSrv.URL, fp, opts, quiet)
 		if err == nil {
 			backends = append(backends, nb)
 		}
 		note("restart", "backend 0 "+addr, err)
-		if cfg.Canary {
-			if !frac(0.9) {
-				return
-			}
-			var pr api.PromoteResponse
-			err := postJSON(tctx, rtSrv.base+"/v1/canary/promote", api.PromoteRequest{}, &pr)
-			if err == nil && pr.Failed {
-				err = errors.New("promotion incomplete on some backend")
-			}
-			note("promote", fp[:12], err)
+		// Canary: read the report before promoting, then promote the
+		// candidate onto every primary and keep detecting on it.
+		if !frac(0.9) {
+			return
 		}
+		rep.Canary = &api.CanaryReport{}
+		raw, err = rtCli.GetRaw(tctx, "/v1/canary/report")
+		if err == nil {
+			err = raw.Decode(rep.Canary)
+		}
+		note("canary", fmt.Sprintf("%d/%d pairs identical", rep.Canary.Identical, rep.Canary.Pairs), err)
+		note("promote", fp[:12], promote(tctx, rtCli, outage, fp))
 	}
 	churn()
 	<-tctx.Done()
@@ -484,60 +512,145 @@ func run(cfg soakConfig) (*soakReport, error) {
 	rep.DurationMS = time.Since(start).Milliseconds()
 
 	buildSeries(st, rep)
-	kept, dropped := rcfg.Tracer.KeptCounter().Load(), rcfg.Tracer.DroppedCounter().Load()
-	rep.Totals.TracesKept, rep.Totals.TracesDropped = kept, dropped
-	rep.SlowestTraces = slowestTraces(rcfg.Tracer.Traces(), 5)
-	rep.MultiHopTrace = findMultiHop(ctx, rtSrv.base, rcfg.Tracer.Traces())
+	rep.Totals.TracesKept, rep.Totals.TracesDropped = tracer.KeptCounter().Load(), tracer.DroppedCounter().Load()
+	rep.SlowestTraces = slowestTraces(tracer.Traces(), 5)
+	rep.MultiHopTrace = findMultiHop(ctx, rtCli, tracer.Traces())
 	return rep, nil
 }
 
-// detectOnce posts one labelled detect through the router and
-// classifies the answer: for outage traffic, correct means the
-// response confirms an outage naming the true line; for normal
-// traffic, alarmed means any report claims an outage.
-func detectOnce(ctx context.Context, base string, body []byte, scenario string, line int, outage bool) (status int, correct, alarmed bool, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/detect", bytes.NewReader(body))
-	if err != nil {
-		return 0, false, false, err
+// promote reloads every primary onto the candidate through the router,
+// checks each shard now serves it, and requires a detect on the
+// promoted fleet to still answer like the library.
+func promote(ctx context.Context, rt *client.Client, sc *scenario, fp string) error {
+	var pr api.PromoteResponse
+	raw, err := rt.PostRaw(ctx, "/v1/canary/promote", "application/json", []byte(`{}`))
+	if err == nil {
+		err = raw.Decode(&pr)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(api.EvalScenarioHeader, scenario)
+	if err == nil {
+		err = servesModel("promotion", pr.Failed, pr.Results, fp)
+	}
+	if err != nil {
+		return err
+	}
+	switch res := sc.detect(ctx); {
+	case res.status != http.StatusOK:
+		return fmt.Errorf("detect after promotion: HTTP %d", res.status)
+	case res.mismatch != nil:
+		return fmt.Errorf("detect after promotion: %w", res.mismatch)
+	}
+	return nil
+}
+
+// servesModel checks a fleet-wide reload's outcome: complete, at least
+// one shard reloaded, and every reloaded shard serving fingerprint fp.
+func servesModel(what string, failed bool, results []api.BackendReload, fp string) error {
+	if failed {
+		return fmt.Errorf("%s incomplete on some backend: %+v", what, results)
+	}
+	reloaded := 0
+	for _, br := range results {
+		for _, res := range br.Results {
+			if res.Model != fp {
+				return fmt.Errorf("%s left %s serving %s, want %s", what, br.Backend, res.Model, fp)
+			}
+			reloaded++
+		}
+	}
+	if reloaded == 0 {
+		return fmt.Errorf("%s reloaded no shard", what)
+	}
+	return nil
+}
+
+// scenario is one labelled arm of the known-truth traffic: its samples,
+// the library's reports for them, and a router client that stamps the
+// canary evaluation headers on every request (so the router's shadow
+// diff scores the arm) and never retries (so a dropped detect shows).
+type scenario struct {
+	outage  bool
+	line    int // the outage line, the truth for the outage arm
+	samples []pmuoutage.Sample
+	want    []*pmuoutage.Report
+	cli     *client.Client
+}
+
+func newScenario(ctx context.Context, sys *pmuoutage.System, base string, line int, outage bool) (*scenario, error) {
+	var lines []int
+	name, truth := "normal", "none"
 	if outage {
-		req.Header.Set(api.EvalTruthHeader, strconv.Itoa(line))
+		lines, name, truth = []int{line}, "outage-line-"+strconv.Itoa(line), strconv.Itoa(line)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	samples, err := sys.SimulateOutageContext(ctx, lines, 2)
 	if err != nil {
-		return 0, false, false, err
+		return nil, err
 	}
-	defer func() { _ = resp.Body.Close() }()
-	data, err := io.ReadAll(resp.Body)
+	want, err := sys.DetectBatchContext(ctx, samples)
 	if err != nil {
-		return resp.StatusCode, false, false, err
+		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, false, false, nil
+	cli, err := client.New(client.Config{
+		BaseURL:    base,
+		HTTPClient: &http.Client{Transport: evalLabels{scenario: name, truth: truth}},
+		MaxRetries: -1,
+	})
+	if err != nil {
+		return nil, err
 	}
-	var out api.DetectResponse
-	if err := json.Unmarshal(data, &out); err != nil {
-		return resp.StatusCode, false, false, err
+	return &scenario{outage: outage, line: line, samples: samples, want: want, cli: cli}, nil
+}
+
+// evalLabels is the transport that stamps the canary evaluation
+// headers on every request.
+type evalLabels struct{ scenario, truth string }
+
+func (l evalLabels) RoundTrip(req *http.Request) (*http.Response, error) {
+	req = req.Clone(req.Context())
+	req.Header.Set(api.EvalScenarioHeader, l.scenario)
+	req.Header.Set(api.EvalTruthHeader, l.truth)
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// detectResult is one routed detect classified against its scenario.
+type detectResult struct {
+	outage   bool
+	status   int   // HTTP status; 0 when no response arrived
+	correct  bool  // a report confirms an outage naming the true line
+	alarmed  bool  // some report claims an outage
+	mismatch error // the reports differ from the library's
+}
+
+// detect posts the scenario's samples through the router and classifies
+// the answer, comparing it byte for byte with the library's reports.
+func (sc *scenario) detect(ctx context.Context) detectResult {
+	res := detectResult{outage: sc.outage}
+	reports, err := sc.cli.Detect(ctx, "soak", sc.samples)
+	if err != nil {
+		var serr *client.ServerError
+		if errors.As(err, &serr) {
+			res.status = serr.Status
+		}
+		return res
 	}
-	for _, r := range out.Reports {
+	res.status = http.StatusOK
+	res.mismatch = httpserve.CompareReports(reports, sc.want)
+	for _, r := range reports {
 		if r == nil || !r.Outage {
 			continue
 		}
-		alarmed = true
+		res.alarmed = true
 		for _, l := range r.Lines {
-			if l.Index == line {
-				correct = true
+			if l.Index == sc.line {
+				res.correct = true
 			}
 		}
 	}
-	return resp.StatusCode, correct, alarmed, nil
+	return res
 }
 
 // streamFrames pushes binary wire frames through the router's ingest
 // route at a steady cadence — the collector-stream side of the soak.
-func streamFrames(ctx context.Context, base string, sample pmuoutage.Sample, st *stats) {
+func streamFrames(ctx context.Context, rt *client.Client, sample pmuoutage.Sample, st *stats) {
 	seq := uint32(1)
 	for ctx.Err() == nil {
 		f := wire.GetFrame()
@@ -551,24 +664,17 @@ func streamFrames(ctx context.Context, base string, sample pmuoutage.Sample, st 
 			st.frame(time.Now(), false)
 			return
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/ingest?shard=soak", bytes.NewReader(enc))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", httpserve.FrameContentType)
 		t0 := time.Now()
-		resp, err := http.DefaultClient.Do(req)
+		raw, err := rt.PostRaw(ctx, "/v1/ingest?shard=soak", httpserve.FrameContentType, enc)
 		if ctx.Err() != nil {
 			return
 		}
-		ok := err == nil && resp.StatusCode == http.StatusOK
-		if err == nil {
-			_, _ = io.Copy(io.Discard, resp.Body)
-			_ = resp.Body.Close()
-		}
-		st.frame(t0, ok)
+		st.frame(t0, err == nil && raw.Status == http.StatusOK)
 		seq++
-		sleepCtx(ctx, 10*time.Millisecond)
+		select {
+		case <-ctx.Done():
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 
@@ -620,7 +726,10 @@ func buildSeries(st *stats, rep *soakReport) {
 		if b.normal > 0 {
 			row.FalseAlarmRate = float64(b.falseAlarm) / float64(b.normal)
 		}
-		row.P50MS, row.P95MS, row.P99MS = quantiles(b.latMS)
+		sort.Float64s(b.latMS)
+		row.P50MS = obs.NearestRank(b.latMS, 0.50)
+		row.P95MS = obs.NearestRank(b.latMS, 0.95)
+		row.P99MS = obs.NearestRank(b.latMS, 0.99)
 		if b.fleet != nil {
 			row.Availability = b.fleet.Availability
 			row.Stages = map[string]stageRow{}
@@ -642,29 +751,15 @@ func buildSeries(st *stats, rep *soakReport) {
 		tot.CorrectIsolations += b.outageOK
 		tot.NormalRequests += b.normal
 		tot.FalseAlarms += b.falseAlarm
+		tot.Mismatched += b.mismatched
 	}
+	rep.FirstMismatch = st.firstMismatch
 	if tot.OutageRequests > 0 {
 		tot.IsolationAccuracy = float64(tot.CorrectIsolations) / float64(tot.OutageRequests)
 	}
 	if tot.NormalRequests > 0 {
 		tot.FalseAlarmRate = float64(tot.FalseAlarms) / float64(tot.NormalRequests)
 	}
-}
-
-// quantiles returns p50/p95/p99 of the sample set in place.
-func quantiles(xs []float64) (p50, p95, p99 float64) {
-	if len(xs) == 0 {
-		return 0, 0, 0
-	}
-	sort.Float64s(xs)
-	at := func(q float64) float64 {
-		i := int(math.Ceil(q*float64(len(xs)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		return xs[i]
-	}
-	return at(0.50), at(0.95), at(0.99)
 }
 
 // slowestTraces returns the n longest retained traces.
@@ -679,13 +774,14 @@ func slowestTraces(traces []api.Trace, n int) []api.Trace {
 // findMultiHop hunts the router's retained ring for a trace whose
 // merged view (GET /debug/traces?id=) spans the route, proxy, and
 // backend stages — the cross-process acceptance artifact.
-func findMultiHop(ctx context.Context, base string, traces []api.Trace) *api.Trace {
+func findMultiHop(ctx context.Context, rt *client.Client, traces []api.Trace) *api.Trace {
 	for i, tr := range traces {
 		if i >= 25 {
 			break
 		}
 		var merged api.Trace
-		if err := getJSON(ctx, base+"/debug/traces?id="+tr.TraceID, &merged); err != nil {
+		raw, err := rt.GetRaw(ctx, "/debug/traces?id="+tr.TraceID)
+		if err != nil || raw.Decode(&merged) != nil {
 			continue
 		}
 		stages := map[string]bool{}
@@ -703,15 +799,25 @@ func findMultiHop(ctx context.Context, base string, traces []api.Trace) *api.Tra
 func assertSmoke(rep *soakReport) error {
 	kinds := map[string]int{}
 	for _, ev := range rep.Events {
-		if ev.Err == "" {
-			kinds[ev.Kind]++
+		if ev.Err != "" {
+			return fmt.Errorf("%s event failed: %s", ev.Kind, ev.Err)
+		}
+		kinds[ev.Kind]++
+	}
+	if kinds["reload"] != rep.Config.Backends {
+		return fmt.Errorf("%d rolling reloads, want one per primary (%d)", kinds["reload"], rep.Config.Backends)
+	}
+	for _, kind := range []string{"patch", "kill", "restart", "canary", "promote"} {
+		if kinds[kind] == 0 {
+			return fmt.Errorf("no %s event", kind)
 		}
 	}
-	if kinds["reload"] == 0 {
-		return errors.New("no successful reload event")
-	}
-	if kinds["kill"] == 0 {
-		return errors.New("no backend kill event")
+	if c := rep.Canary; c.Pairs == 0 {
+		return errors.New("canary report has no shadow pairs")
+	} else if c.Identical != c.Pairs || c.Mismatched != 0 {
+		return fmt.Errorf("shadow responses not byte-identical: %d/%d identical, %d mismatched", c.Identical, c.Pairs, c.Mismatched)
+	} else if !c.Promotable {
+		return fmt.Errorf("canary report not promotable: %v", c.Reasons)
 	}
 	if len(rep.Series) < 3 {
 		return fmt.Errorf("only %d time-series ticks", len(rep.Series))
@@ -734,6 +840,9 @@ func assertSmoke(rep *soakReport) error {
 	if rep.Totals.Errors > 0 {
 		return fmt.Errorf("%d detect/ingest errors; a kill mid-traffic must not drop requests", rep.Totals.Errors)
 	}
+	if rep.Totals.Mismatched > 0 {
+		return fmt.Errorf("%d routed detects differ from the library answer; first: %s", rep.Totals.Mismatched, rep.FirstMismatch)
+	}
 	if rep.Totals.IngestFrames == 0 {
 		return errors.New("no binary ingest frames made it through")
 	}
@@ -755,8 +864,9 @@ func writeReport(path string, rep *soakReport) error {
 // registry by fingerprint and span tracing on.
 type soakBackend struct {
 	svc *service.Service
+	reg *registry.Client
 	cli *client.Client
-	srv *soakServer
+	srv *fleettest.Server
 }
 
 func newSoakBackend(ctx context.Context, addr, regURL, fp string, opts pmuoutage.Options, logger *slog.Logger) (*soakBackend, error) {
@@ -778,120 +888,23 @@ func newSoakBackend(ctx context.Context, addr, regURL, fp string, opts pmuoutage
 	}
 	hs := httpserve.New(svc, 30*time.Second, logger)
 	hs.SetModelSource(reg)
-	srv, err := newSoakServer(addr, hs.Routes())
+	srv, err := fleettest.Serve(addr, hs.Routes())
 	if err != nil {
 		svc.Close()
 		return nil, err
 	}
-	cli, err := client.New(client.Config{BaseURL: srv.base})
+	cli, err := client.New(client.Config{BaseURL: srv.URL})
 	if err != nil {
-		srv.stop()
+		srv.Kill()
 		svc.Close()
 		return nil, err
 	}
-	return &soakBackend{svc: svc, cli: cli, srv: srv}, nil
+	return &soakBackend{svc: svc, reg: reg, cli: cli, srv: srv}, nil
 }
 
 // kill tears the backend down abruptly: in-flight proxied requests see
 // transport errors — the fail-over case the soak is probing.
-func (b *soakBackend) kill() error {
-	err := b.srv.httpSrv.Close()
+func (b *soakBackend) kill() {
+	b.srv.Kill()
 	b.svc.Close()
-	return err
-}
-
-func (b *soakBackend) stop() {
-	b.srv.stop()
-	b.svc.Close()
-}
-
-// soakServer serves a handler on a localhost port — ephemeral when addr
-// is empty, or a specific freed address on restart (retried briefly
-// while the OS releases it).
-type soakServer struct {
-	base    string
-	addr    string
-	httpSrv *http.Server
-	done    chan error
-}
-
-func newSoakServer(addr string, h http.Handler) (*soakServer, error) {
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	var ln net.Listener
-	var err error
-	for i := 0; i < 40; i++ {
-		if ln, err = net.Listen("tcp", addr); err == nil {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if err != nil {
-		return nil, err
-	}
-	s := &soakServer{
-		base:    "http://" + ln.Addr().String(),
-		addr:    ln.Addr().String(),
-		httpSrv: &http.Server{Handler: h},
-		done:    make(chan error, 1),
-	}
-	go func() { s.done <- s.httpSrv.Serve(ln) }()
-	return s, nil
-}
-
-func (s *soakServer) stop() {
-	_ = s.httpSrv.Close()
-	<-s.done
-}
-
-func getJSON(ctx context.Context, url string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return err
-	}
-	return doJSON(req, out)
-}
-
-func postJSON(ctx context.Context, url string, in, out any) error {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	return doJSON(req, out)
-}
-
-func doJSON(req *http.Request, out any) error {
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s %s: HTTP %d: %s", req.Method, req.URL.Path, resp.StatusCode, data)
-	}
-	return json.Unmarshal(data, out)
-}
-
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

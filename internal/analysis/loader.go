@@ -68,9 +68,6 @@ func NewLoader(modRoot string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modPath }
-
 // ModuleRoot returns the absolute module root directory.
 func (l *Loader) ModuleRoot() string { return l.modRoot }
 

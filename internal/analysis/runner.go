@@ -85,27 +85,6 @@ func errorsAs[T error](err error, target *T) bool {
 	return false
 }
 
-// RunDirs loads every directory and runs the analyzers over each
-// package, returning unsuppressed, sorted diagnostics. Loading or
-// type-checking failures abort the run: gridlint gates a repo that is
-// expected to compile.
-func RunDirs(l *Loader, analyzers []*Analyzer, dirs []string) ([]Diagnostic, error) {
-	var diags []Diagnostic
-	for _, dir := range dirs {
-		pkg, err := l.LoadDir(dir)
-		if err != nil {
-			return nil, err
-		}
-		d, err := RunPackage(analyzers, pkg, l.modPath)
-		if err != nil {
-			return nil, err
-		}
-		diags = append(diags, d...)
-	}
-	sortDiagnostics(diags)
-	return diags, nil
-}
-
 // RunPackage runs the analyzers over one loaded package and applies
 // //gridlint:ignore suppression, returning only the unsuppressed
 // findings. module is the module path used to classify imports as

@@ -216,9 +216,8 @@ func (s *Sparse) VisitNonzero(fn func(i, j int, v float64)) {
 	}
 }
 
-// T returns the transpose as a new CSR matrix (equivalently, the CSC
-// view of s re-expressed as CSR). Column indices stay sorted because
-// rows are visited in order.
+// T returns the transpose as a new CSR matrix. Column indices stay
+// sorted because rows are visited in order.
 func (s *Sparse) T() *Sparse {
 	t := &Sparse{
 		rows:   s.cols,
@@ -285,85 +284,6 @@ func (s *Sparse) ToDense() *Dense {
 		}
 	}
 	return d
-}
-
-// ToCSC converts to compressed sparse column form.
-func (s *Sparse) ToCSC() *CSC {
-	t := s.T()
-	return &CSC{rows: s.rows, cols: s.cols, colPtr: t.rowPtr, rowIdx: t.colIdx, vals: t.vals}
-}
-
-// CSC is a compressed sparse column matrix: column j's entries are
-// rowIdx[colPtr[j]:colPtr[j+1]] / vals[colPtr[j]:colPtr[j+1]] with row
-// indices strictly increasing within each column. It is the transpose
-// layout of Sparse: column slices are contiguous, so transpose-mat-vec
-// streams linearly — the complement of CSR for JᵀJ-style products.
-type CSC struct {
-	rows, cols int
-	colPtr     []int
-	rowIdx     []int
-	vals       []float64
-}
-
-// NewCSC assembles an r-by-c CSC matrix from triplets (duplicates
-// summed, any input order).
-func NewCSC(r, c int, trips []Triplet) *CSC {
-	return NewSparse(r, c, trips).ToCSC()
-}
-
-// Rows returns the number of rows.
-func (c *CSC) Rows() int { return c.rows }
-
-// Cols returns the number of columns.
-func (c *CSC) Cols() int { return c.cols }
-
-// Dims returns (rows, cols).
-func (c *CSC) Dims() (int, int) { return c.rows, c.cols }
-
-// NNZ returns the number of stored entries.
-func (c *CSC) NNZ() int { return len(c.vals) }
-
-// MulVecTo writes c*x into dst: a scatter pass over columns.
-//
-//gridlint:zeroalloc
-func (c *CSC) MulVecTo(dst, x []float64) {
-	if len(x) != c.cols || len(dst) != c.rows {
-		panic("mat: CSC MulVecTo dimension mismatch")
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	for j := 0; j < c.cols; j++ {
-		xj := x[j]
-		if xj == 0 { //gridlint:ignore floatcmp scatter skips exact-zero multipliers only
-			continue
-		}
-		for k := c.colPtr[j]; k < c.colPtr[j+1]; k++ {
-			dst[c.rowIdx[k]] += c.vals[k] * xj
-		}
-	}
-}
-
-// MulVecTTo writes cᵀ*x into dst: one contiguous gather per column.
-//
-//gridlint:zeroalloc
-func (c *CSC) MulVecTTo(dst, x []float64) {
-	if len(x) != c.rows || len(dst) != c.cols {
-		panic("mat: CSC MulVecTTo dimension mismatch")
-	}
-	for j := 0; j < c.cols; j++ {
-		var sum float64
-		for k := c.colPtr[j]; k < c.colPtr[j+1]; k++ {
-			sum += c.vals[k] * x[c.rowIdx[k]]
-		}
-		dst[j] = sum
-	}
-}
-
-// ToCSR converts back to compressed sparse row form.
-func (c *CSC) ToCSR() *Sparse {
-	t := &Sparse{rows: c.cols, cols: c.rows, rowPtr: c.colPtr, colIdx: c.rowIdx, vals: c.vals}
-	return t.T()
 }
 
 // MulVecTo writes m*x into dst, skipping exactly-zero entries the same

@@ -71,10 +71,6 @@ func TestSparseRoundTripsAndOps(t *testing.T) {
 		if !SparseFromDense(d).ToDense().Equalf(d, 0) {
 			return false
 		}
-		// CSC round trip.
-		if !s.ToCSC().ToCSR().ToDense().Equalf(d, 0) {
-			return false
-		}
 		// Transpose.
 		if !s.T().ToDense().Equalf(d.T(), 0) {
 			return false
@@ -87,22 +83,17 @@ func TestSparseRoundTripsAndOps(t *testing.T) {
 		for i := range y {
 			y[i] = rng.NormFloat64()
 		}
-		// Mat-vec and transpose-mat-vec against dense, CSR and CSC.
+		// Mat-vec and transpose-mat-vec against dense.
 		tol := 1e-12
 		dx := d.MulVec(x)
 		dty := d.T().MulVec(y)
-		csc := s.ToCSC()
-		cx := make([]float64, r)
-		csc.MulVecTo(cx, x)
-		cty := make([]float64, c)
-		csc.MulVecTTo(cty, y)
 		for i := range dx {
-			if math.Abs(s.MulVec(x)[i]-dx[i]) > tol || math.Abs(cx[i]-dx[i]) > tol {
+			if math.Abs(s.MulVec(x)[i]-dx[i]) > tol {
 				return false
 			}
 		}
 		for j := range dty {
-			if math.Abs(s.MulVecT(y)[j]-dty[j]) > tol || math.Abs(cty[j]-dty[j]) > tol {
+			if math.Abs(s.MulVecT(y)[j]-dty[j]) > tol {
 				return false
 			}
 		}
@@ -306,13 +297,12 @@ func TestSolveCGOpIdentityPreconditioner(t *testing.T) {
 }
 
 // TestSparseMulVecAllocs pins the //gridlint:zeroalloc annotations on
-// Sparse.MulVecTo, Sparse.MulVecTTo, CSC.MulVecTo, and CSC.MulVecTTo:
-// the hot sparse products must not allocate.
+// Sparse.MulVecTo and Sparse.MulVecTTo: the hot sparse products must
+// not allocate.
 func TestSparseMulVecAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 60
 	s := randSPDSparse(rng, n)
-	csc := s.ToCSC()
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = rng.NormFloat64()
@@ -321,8 +311,6 @@ func TestSparseMulVecAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		s.MulVecTo(dst, x)
 		s.MulVecTTo(dst, x)
-		csc.MulVecTo(dst, x)
-		csc.MulVecTTo(dst, x)
 	})
 	if allocs != 0 {
 		t.Fatalf("sparse mat-vec allocated %v times per run", allocs)

@@ -28,12 +28,15 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"pmuoutage/api"
 )
 
 // Counter is a monotonically increasing atomic cell. The zero value is
@@ -184,35 +187,27 @@ func (h *Histogram) SumSeconds() float64 {
 	return float64(h.sumNS.Load()) / 1e9
 }
 
-// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// inside the bucket containing the target rank; observations in the
-// overflow (+Inf) bucket clamp to the largest finite bound. Under
-// concurrent writes the estimate is approximate, like any scrape.
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) with api.Hist.Quantile
+// over the current bucket counts: linear interpolation inside the bucket
+// containing the target rank, the overflow (+Inf) bucket clamped to the
+// largest finite bound. Under concurrent writes the estimate is
+// approximate, like any scrape.
 func (h *Histogram) Quantile(q float64) float64 {
 	if h == nil {
 		return 0
 	}
-	total := h.count.Load()
-	if total == 0 {
+	return h.hist().Quantile(q)
+}
+
+// NearestRank is the exact nearest-rank q-quantile of ascending-sorted
+// samples: the smallest sample with at least a q share of the set at or
+// below it. It returns 0 for an empty set.
+func NearestRank(sorted []float64, q float64) float64 {
+	if len(sorted) == 0 {
 		return 0
 	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.buckets {
-		n := float64(h.buckets[i].Load())
-		if n > 0 && cum+n >= rank {
-			if i == len(h.bounds) { // overflow bucket: no finite upper edge
-				return h.bounds[len(h.bounds)-1]
-			}
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			return lo + (h.bounds[i]-lo)*((rank-cum)/n)
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[max(0, min(i, len(sorted)-1))]
 }
 
 // Snapshot copies the histogram into plain values; nil histograms
@@ -225,19 +220,33 @@ func (h *Histogram) Snapshot() *HistSnapshot {
 	return h.snapshot()
 }
 
-// snapshot copies the histogram into plain values.
-func (h *Histogram) snapshot() *HistSnapshot {
-	s := &HistSnapshot{
+// hist copies the bucket counts into the wire histogram type, whose
+// Quantile is the one bucketed estimator.
+func (h *Histogram) hist() api.Hist {
+	w := api.Hist{
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.buckets)),
 		Count:  h.count.Load(),
 		Sum:    h.SumSeconds(),
 	}
 	for i := range h.buckets {
-		s.Counts[i] = h.buckets[i].Load()
+		w.Counts[i] = h.buckets[i].Load()
 	}
-	s.P50, s.P95, s.P99 = h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
-	return s
+	return w
+}
+
+// snapshot copies the histogram into plain values.
+func (h *Histogram) snapshot() *HistSnapshot {
+	w := h.hist()
+	return &HistSnapshot{
+		Bounds: w.Bounds,
+		Counts: w.Counts,
+		Count:  w.Count,
+		Sum:    w.Sum,
+		P50:    w.Quantile(0.50),
+		P95:    w.Quantile(0.95),
+		P99:    w.Quantile(0.99),
+	}
 }
 
 // Kind classifies a registered metric.

@@ -2,11 +2,15 @@ package obs
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"pmuoutage/api"
 )
 
 func TestCounterGauge(t *testing.T) {
@@ -267,5 +271,45 @@ func TestParseLevel(t *testing.T) {
 	}
 	if _, err := ParseLevel("loud"); err == nil {
 		t.Fatal("bad level accepted")
+	}
+}
+
+// TestHistogramQuantileMatchesWire: the live histogram and the wire
+// histogram built from its snapshot give the same quantile at every q,
+// for random observations that reach the overflow bucket.
+func TestHistogramQuantileMatchesWire(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	r := NewRegistry()
+	for trial := 0; trial < 50; trial++ {
+		h := r.Histogram("prop_seconds_"+strconv.Itoa(trial), "latency")
+		for i, n := 0, rng.Intn(200); i < n; i++ {
+			// Log-uniform over 1µs..100s: below the first bound, inside
+			// every bucket, and past the last (10s) into overflow.
+			h.Observe(time.Duration(math.Pow(10, -6+8*rng.Float64()) * float64(time.Second)))
+		}
+		s := h.Snapshot()
+		w := api.Hist{Bounds: s.Bounds, Counts: s.Counts, Count: s.Count, Sum: s.Sum}
+		for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
+			if got, want := h.Quantile(q), w.Quantile(q); got != want {
+				t.Fatalf("trial %d: Quantile(%v) = %v, wire histogram says %v", trial, q, got, want)
+			}
+		}
+		if s.P50 != w.Quantile(0.5) || s.P95 != w.Quantile(0.95) || s.P99 != w.Quantile(0.99) {
+			t.Fatalf("trial %d: snapshot quantiles %v/%v/%v disagree with the wire histogram", trial, s.P50, s.P95, s.P99)
+		}
+	}
+}
+
+func TestNearestRank(t *testing.T) {
+	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, tc := range []struct{ q, want float64 }{
+		{0, 1}, {0.05, 1}, {0.1, 1}, {0.11, 2}, {0.5, 5}, {0.95, 10}, {0.99, 10}, {1, 10},
+	} {
+		if got := NearestRank(xs, tc.q); got != tc.want {
+			t.Fatalf("NearestRank(q=%v) = %v, want %v", tc.q, got, tc.want)
+		}
+	}
+	if got := NearestRank(nil, 0.5); got != 0 {
+		t.Fatalf("empty set = %v, want 0", got)
 	}
 }

@@ -8,8 +8,8 @@
 // solve per grid size (14 … 1000 buses) on both the dense and the
 // sparse solver, so BENCH_pipeline.json documents where the
 // SparseBusThreshold dispatch pays off. The 1000-bus rows sit behind
-// -full — building that grid alone takes ~30 s, which does not belong
-// in the verify budget.
+// -full — each dense 1000-bus AC solve takes seconds, which does not
+// belong in the verify budget.
 //
 // Usage:
 //
@@ -64,7 +64,7 @@ type report struct {
 func main() {
 	out := flag.String("o", "BENCH_pipeline.json", "output file")
 	reps := flag.Int("reps", 3, "repetitions per stage (best run wins)")
-	full := flag.Bool("full", false, "include the 1000-bus scaling rows (~30 s grid build)")
+	full := flag.Bool("full", false, "include the 1000-bus scaling rows (slow dense 1000-bus solves)")
 	flag.Parse()
 
 	if err := run(*out, *reps, *full); err != nil {

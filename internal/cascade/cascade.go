@@ -315,26 +315,6 @@ func ShedLoad(frac float64, ratings Ratings) Intervention {
 	}
 }
 
-// Vulnerability sweeps every valid single-line trigger and returns the
-// lines whose loss cascades into at least minFailed further trips —
-// the structural-vulnerability analysis of [3] on this grid.
-func Vulnerability(g *grid.Grid, ratings Ratings, minFailed int) ([]grid.Line, error) {
-	var out []grid.Line
-	for e := 0; e < g.E(); e++ {
-		if !g.ConnectedWithout(grid.Line(e)) {
-			continue
-		}
-		res, err := Run(g, ratings, []grid.Line{grid.Line(e)}, Options{})
-		if err != nil {
-			return nil, err
-		}
-		if len(res.Failed)-1 >= minFailed {
-			out = append(out, grid.Line(e))
-		}
-	}
-	return out, nil
-}
-
 // overloadMargin is exposed for tests: the worst ratio of |flow| to
 // rating over in-service lines (1.0 means at the limit).
 func overloadMargin(g *grid.Grid, ratings Ratings) (float64, error) {

@@ -208,29 +208,6 @@ func TestIslandingShedsLoad(t *testing.T) {
 	}
 }
 
-func TestVulnerability(t *testing.T) {
-	g := cases.IEEE14()
-	tight, err := Derive(g, 1.05, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vul, err := Vulnerability(g, tight, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vul) == 0 {
-		t.Fatal("5% margins must leave some cascading triggers")
-	}
-	generous, _ := Derive(g, 10, 1)
-	none, err := Vulnerability(g, generous, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none) != 0 {
-		t.Fatalf("10x margins should have no cascading triggers, got %v", none)
-	}
-}
-
 func TestOverloadMarginHelper(t *testing.T) {
 	g := cases.IEEE14()
 	r, _ := Derive(g, 2, 0.1)

@@ -133,18 +133,6 @@ type Scenario []grid.Line
 // Normal reports whether the scenario has no outages.
 func (sc Scenario) Normal() bool { return len(sc) == 0 }
 
-// Involves reports whether the scenario outages any line of bus i in g —
-// the paper's "case F involving node i".
-func (sc Scenario) Involves(g *grid.Grid, i int) bool {
-	for _, e := range sc {
-		a, b := g.Endpoints(e)
-		if a == i || b == i {
-			return true
-		}
-	}
-	return false
-}
-
 // Key returns a canonical string for map keys and logs.
 func (sc Scenario) Key() string {
 	if sc.Normal() {

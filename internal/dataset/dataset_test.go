@@ -62,22 +62,14 @@ func TestSampleVectorAndMask(t *testing.T) {
 }
 
 func TestScenarioBasics(t *testing.T) {
-	g := cases.IEEE14()
 	var sc Scenario
 	if !sc.Normal() || sc.Key() != "normal" {
 		t.Fatal("empty scenario must be normal")
 	}
-	e := grid.Line(0) // connects buses 0 and 1
+	e := grid.Line(0)
 	sc = Scenario{e}
 	if sc.Normal() {
 		t.Fatal("non-empty scenario is not normal")
-	}
-	a, b := g.Endpoints(e)
-	if !sc.Involves(g, a) || !sc.Involves(g, b) {
-		t.Fatal("scenario must involve its endpoints")
-	}
-	if sc.Involves(g, 13) {
-		t.Fatal("scenario must not involve far bus")
 	}
 	if sc.Key() != "lines-0" {
 		t.Fatalf("Key = %q", sc.Key())

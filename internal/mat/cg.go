@@ -13,23 +13,15 @@ type CGOptions struct {
 	MaxIter int
 }
 
-// SolveCG solves A x = b for symmetric positive definite A by the
-// conjugate-gradient method with Jacobi (diagonal) preconditioning.
-// Reduced grid Laplacians — the systems DC power flow solves — are SPD
-// and sparse, where CG's O(nnz) iterations beat dense LU's O(n³) as
-// systems grow. Returns ErrSingular (wrapped) when A is detectably not
-// positive definite and a convergence error when MaxIter is exhausted.
-func SolveCG(a *Dense, b []float64, opts CGOptions) ([]float64, error) {
-	return SolveCGOp(a, b, opts)
-}
-
-// SolveCGOp is SolveCG over a matrix-free operator: any Op whose
-// action is symmetric positive definite. When the operator also
-// implements Diagonal, its diagonal builds the Jacobi preconditioner
-// (and must be strictly positive); otherwise the identity
-// preconditioner is used. Dense matrices take the exact code path the
-// dense-only solver historically did, so results are bit-identical.
-func SolveCGOp(a Op, b []float64, opts CGOptions) ([]float64, error) {
+// SolveCG solves A x = b for symmetric positive definite sparse A by
+// the conjugate-gradient method with Jacobi (diagonal) preconditioning.
+// Reduced grid Laplacians and the fast-decoupled B′/B″ matrices — the
+// systems sparse power flow solves — are SPD and sparse, where CG's
+// O(nnz) iterations beat dense LU's O(n³) as systems grow. Returns
+// ErrSingular (wrapped) when A is detectably not positive definite
+// (a non-positive diagonal or a non-positive curvature) and a
+// convergence error when MaxIter is exhausted.
+func SolveCG(a *Sparse, b []float64, opts CGOptions) ([]float64, error) {
 	rows, cols := a.Dims()
 	n := rows
 	if cols != n {
@@ -44,21 +36,13 @@ func SolveCGOp(a Op, b []float64, opts CGOptions) ([]float64, error) {
 	if opts.MaxIter <= 0 {
 		opts.MaxIter = 4 * n
 	}
-	// Jacobi preconditioner from the operator diagonal when available.
-	m := make([]float64, n)
-	if dg, ok := a.(Diagonal); ok {
-		diag := dg.Diag()
-		for i := 0; i < n; i++ {
-			d := diag[i]
-			if d <= 0 {
-				return nil, fmt.Errorf("mat: SolveCG diagonal %d = %g: %w", i, d, ErrSingular)
-			}
-			m[i] = 1 / d
+	// Jacobi preconditioner from the diagonal.
+	m := a.Diag()
+	for i, d := range m {
+		if d <= 0 {
+			return nil, fmt.Errorf("mat: SolveCG diagonal %d = %g: %w", i, d, ErrSingular)
 		}
-	} else {
-		for i := range m {
-			m[i] = 1
-		}
+		m[i] = 1 / d
 	}
 	bn := Norm2(b)
 	if bn == 0 { //gridlint:ignore floatcmp exact-zero RHS has the exact solution x=0

@@ -1,11 +1,27 @@
 package mat
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 )
+
+// csr converts a dense fixture to CSR, keeping only the exactly
+// nonzero entries, so CG tests can state their systems densely.
+func csr(d *Dense) *Sparse {
+	r, c := d.Dims()
+	var trips []Triplet
+	for i := 0; i < r; i++ {
+		for j, v := range d.RawRow(i) {
+			if v != 0 { //gridlint:ignore floatcmp CSR keeps exactly-nonzero structure only
+				trips = append(trips, Triplet{Row: i, Col: j, Val: v})
+			}
+		}
+	}
+	return NewSparse(r, c, trips)
+}
 
 func TestSolveCGMatchesLU(t *testing.T) {
 	f := func(seed int64) bool {
@@ -16,7 +32,7 @@ func TestSolveCGMatchesLU(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		cg, err := SolveCG(a, b, CGOptions{})
+		cg, err := SolveCG(csr(a), b, CGOptions{})
 		if err != nil {
 			return false
 		}
@@ -69,7 +85,7 @@ func TestSolveCGLaplacianLike(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, err := SolveCG(a, b, CGOptions{})
+	x, err := SolveCG(csr(a), b, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,27 +96,27 @@ func TestSolveCGLaplacianLike(t *testing.T) {
 }
 
 func TestSolveCGValidation(t *testing.T) {
-	if _, err := SolveCG(NewDense(2, 3), []float64{1, 2}, CGOptions{}); err == nil {
+	if _, err := SolveCG(csr(NewDense(2, 3)), []float64{1, 2}, CGOptions{}); err == nil {
 		t.Fatal("expected square error")
 	}
-	if _, err := SolveCG(Identity(2), []float64{1}, CGOptions{}); err == nil {
+	if _, err := SolveCG(csr(Identity(2)), []float64{1}, CGOptions{}); err == nil {
 		t.Fatal("expected rhs length error")
 	}
 	// Non-positive diagonal rejected.
 	bad := NewDenseData(2, 2, []float64{-1, 0, 0, 1})
-	if _, err := SolveCG(bad, []float64{1, 1}, CGOptions{}); err == nil {
-		t.Fatal("expected positive-definite error")
+	if _, err := SolveCG(csr(bad), []float64{1, 1}, CGOptions{}); !errors.Is(err, ErrSingular) {
+		t.Fatalf("want ErrSingular for negative diagonal, got %v", err)
 	}
 	// Indefinite matrix with positive diagonal fails on curvature when
 	// the rhs excites the negative eigendirection ([1,-1] here).
 	indef := NewDenseData(2, 2, []float64{1, 2, 2, 1})
-	if _, err := SolveCG(indef, []float64{1, -1}, CGOptions{}); err == nil {
-		t.Fatal("expected curvature error")
+	if _, err := SolveCG(csr(indef), []float64{1, -1}, CGOptions{}); !errors.Is(err, ErrSingular) {
+		t.Fatalf("want ErrSingular for indefinite matrix, got %v", err)
 	}
 }
 
 func TestSolveCGZeroRHS(t *testing.T) {
-	x, err := SolveCG(Identity(3), []float64{0, 0, 0}, CGOptions{})
+	x, err := SolveCG(csr(Identity(3)), []float64{0, 0, 0}, CGOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,9 +145,10 @@ func BenchmarkSolveCGLaplacian117(b *testing.B) {
 	for i := range rhs {
 		rhs[i] = rng.NormFloat64()
 	}
+	s := csr(a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveCG(a, rhs, CGOptions{}); err != nil {
+		if _, err := SolveCG(s, rhs, CGOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,12 +43,6 @@ func TestNorm2Overflow(t *testing.T) {
 	}
 }
 
-func TestNormInf(t *testing.T) {
-	if got := NormInf([]float64{1, -9, 3}); got != 9 {
-		t.Fatalf("NormInf = %v, want 9", got)
-	}
-}
-
 func TestVecArithmetic(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 5}

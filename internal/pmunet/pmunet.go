@@ -207,20 +207,6 @@ func (nw *Network) OutageLocationMask(e grid.Line) Mask {
 	return m
 }
 
-// OutageNeighborhoodMask extends OutageLocationMask to the endpoints'
-// 1-hop neighbourhood (§III-B's "immediate neighborhood" pattern).
-func (nw *Network) OutageNeighborhoodMask(e grid.Line) Mask {
-	m := nw.OutageLocationMask(e)
-	a, b := nw.G.Endpoints(e)
-	for _, v := range nw.G.Neighbors(a) {
-		m[v] = true
-	}
-	for _, v := range nw.G.Neighbors(b) {
-		m[v] = true
-	}
-	return m
-}
-
 // RandomMask returns the Figure 6 (middle/bottom) pattern: k distinct
 // buses missing uniformly at random, optionally excluding a set of buses
 // (e.g. the outage endpoints, for the uncorrelated-missing study).

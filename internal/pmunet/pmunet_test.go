@@ -139,22 +139,6 @@ func TestOutageLocationMask(t *testing.T) {
 	}
 }
 
-func TestOutageNeighborhoodMask(t *testing.T) {
-	g := cases.IEEE14()
-	nw, _ := Build(g, 3)
-	e := grid.Line(0)
-	a, b := g.Endpoints(e)
-	m := nw.OutageNeighborhoodMask(e)
-	for _, v := range append(g.Neighbors(a), g.Neighbors(b)...) {
-		if !m[v] {
-			t.Errorf("neighbor %d not masked", v)
-		}
-	}
-	if !m[a] || !m[b] {
-		t.Fatal("endpoints must be masked")
-	}
-}
-
 func TestRandomMaskRespectsExclusionsAndCount(t *testing.T) {
 	g := cases.IEEE30()
 	nw, _ := Build(g, 4)

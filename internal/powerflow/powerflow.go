@@ -1,5 +1,6 @@
 // Package powerflow solves the steady-state AC power-flow problem with a
-// Newton–Raphson iteration in polar form, plus a linear DC approximation.
+// Newton–Raphson iteration in polar form (a fast-decoupled iteration on
+// the sparse path, see sparse.go), plus a linear DC approximation.
 // It substitutes for MATPOWER in the paper's data-generation pipeline:
 // given a grid and a load/generation profile it produces the bus voltage
 // phasors that play the role of PMU measurements.
@@ -15,8 +16,8 @@ import (
 	"pmuoutage/internal/mat"
 )
 
-// ErrNoConvergence is returned when Newton–Raphson fails to reach the
-// mismatch tolerance within the iteration limit.
+// ErrNoConvergence is returned when the AC iteration fails to reach the
+// mismatch tolerance within the iteration limit, or diverges.
 var ErrNoConvergence = errors.New("powerflow: Newton-Raphson did not converge")
 
 // Options configures the AC solver.
@@ -55,7 +56,8 @@ func (s *Solution) Phasor(i int) complex128 {
 	return cmplx.Rect(s.Vm[i], s.Va[i])
 }
 
-// SolveAC runs Newton–Raphson on the grid's AC power-flow equations.
+// SolveAC solves the grid's AC power-flow equations: Newton–Raphson on
+// the dense path, the fast-decoupled iteration on the sparse path.
 // Injections are taken from the grid's bus records: P_i = Pg_i - Pd_i,
 // Q_i = Qg_i - Qd_i (per unit).
 func SolveAC(g *grid.Grid, opts Options) (*Solution, error) {

@@ -159,8 +159,12 @@ func TestNoConvergenceOnOverload(t *testing.T) {
 func TestNoSlackError(t *testing.T) {
 	g := twoBus(0.1, 0.05, 0.02, 0.1)
 	g.Buses[0].Type = grid.PQ
-	if _, err := SolveAC(g, Options{}); err == nil {
-		t.Fatal("expected error without slack bus")
+	_, want := g.SlackIndex()
+	// Both AC paths return the grid's slack error unchanged.
+	for _, solver := range []Solver{SolverDense, SolverSparse} {
+		if _, err := SolveAC(g, Options{Solver: solver}); err == nil || err.Error() != want.Error() {
+			t.Fatalf("solver %d: got %v, want %v", solver, err, want)
+		}
 	}
 	if _, err := SolveDC(g); err == nil {
 		t.Fatal("expected DC error without slack bus")

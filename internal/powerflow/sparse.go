@@ -1,14 +1,14 @@
-// Sparse power-flow path: the same Newton–Raphson (AC) and reduced
-// B-matrix (DC) formulations as powerflow.go, restaged on CSR
-// operators and iterative solves so cost scales with the number of
-// branches instead of buses². Grids at or above SparseBusThreshold
-// buses dispatch here automatically; smaller grids keep the historical
-// dense path bit for bit.
+// Sparse power-flow path: the AC mismatch and reduced B-matrix (DC)
+// formulations of powerflow.go, restaged on CSR operators and
+// Jacobi-preconditioned CG so cost scales with the number of branches
+// instead of buses². AC runs one fast-decoupled iteration instead of
+// the dense path's full Newton–Raphson. Grids at or above
+// SparseBusThreshold buses dispatch here automatically; smaller grids
+// keep the historical dense path bit for bit.
 
 package powerflow
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -78,84 +78,26 @@ func newYbusAdj(g *grid.Grid) *ybusAdj {
 	return a
 }
 
-// normalEqOp is the matrix-free normal-equations operator JᵀJ used to
-// solve the nonsymmetric Newton step J dx = f by CGNR: JᵀJ is SPD
-// whenever J has full column rank, and each application is two sparse
-// mat-vec passes. Its diagonal (column norms² of J) is the Jacobi
-// preconditioner.
-type normalEqOp struct {
-	j   *mat.Sparse
-	tmp []float64
-	d   []float64
-}
-
-func newNormalEqOp(j *mat.Sparse) *normalEqOp {
-	rows, cols := j.Dims()
-	o := &normalEqOp{j: j, tmp: make([]float64, rows), d: make([]float64, cols)}
-	j.VisitNonzero(func(_, c int, v float64) {
-		o.d[c] += v * v
-	})
-	return o
-}
-
-func (o *normalEqOp) Dims() (int, int) {
-	_, c := o.j.Dims()
-	return c, c
-}
-
-func (o *normalEqOp) MulVecTo(dst, x []float64) {
-	o.j.MulVecTo(o.tmp, x)
-	o.j.MulVecTTo(dst, o.tmp)
-}
-
-func (o *normalEqOp) Diag() []float64 { return o.d }
-
-// solveACSparse is SolveAC on the CSR path: identical state setup and
-// mismatch definition (max |ΔP|, |ΔQ| in p.u.), but the iteration is
-// fast-decoupled (XB scheme): the P–θ half-step solves the constant
-// series-reactance Laplacian B′ and the Q–V half-step the constant
-// −Im(Ybus) matrix B″, both SPD for inductive transmission grids and
-// both solved by Jacobi-preconditioned CG on CSR operators. The
-// matrices never change across iterations, so their preconditioners
-// are built once, and every inner solve is O(nnz·iters) instead of
-// the dense path's O(n³) LU. When decoupling fails (capacitive B″,
-// CG breakdown, or no convergence), the full-Newton sparse path with
-// CGNR inner solves takes over, and dense LU backs that.
-func solveACSparse(g *grid.Grid, opts Options) (*Solution, error) {
-	sol, err := solveACDecoupled(g, opts)
-	if err == nil {
-		return sol, nil
-	}
-	if errors.Is(err, errSlack) {
-		return nil, err
-	}
-	return solveACSparseNewton(g, opts)
-}
-
-// errSlack tags slack-index failures so the decoupled→Newton fallback
-// does not retry a structurally invalid grid.
-var errSlack = errors.New("powerflow: invalid slack")
-
-// acState is the shared state setup of both sparse AC iterations —
-// identical to the dense solver's.
+// acState is the sparse AC iteration's state setup — identical to the
+// dense solver's.
 type acState struct {
-	n          int
-	adj        *ybusAdj
-	pvpq, pq   []int
-	posA, posM []int
-	vm         []float64 //gridlint:unit pu // iterate voltage magnitudes
-	va         []float64 //gridlint:unit rad // iterate voltage angles
-	pSched     []float64 //gridlint:unit pu // scheduled P injections
-	qSched     []float64 //gridlint:unit pu // scheduled Q injections
-	pcalc      []float64 //gridlint:unit pu // calculated P injections
-	qcalc      []float64 //gridlint:unit pu // calculated Q injections
+	n        int
+	adj      *ybusAdj
+	pvpq, pq []int
+	posA     []int     // bus -> index in pvpq, -1 for the slack
+	vm       []float64 //gridlint:unit pu // iterate voltage magnitudes
+	va       []float64 //gridlint:unit rad // iterate voltage angles
+	pSched   []float64 //gridlint:unit pu // scheduled P injections
+	qSched   []float64 //gridlint:unit pu // scheduled Q injections
+	pcalc    []float64 //gridlint:unit pu // calculated P injections
+	qcalc    []float64 //gridlint:unit pu // calculated Q injections
 }
 
 func newACState(g *grid.Grid, opts Options) (*acState, error) {
 	n := g.N()
 	slack, err := g.SlackIndex()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", errSlack, err)
+		return nil, err
 	}
 	st := &acState{n: n, adj: newYbusAdj(g)}
 	for i := 0; i < n; i++ {
@@ -194,16 +136,11 @@ func newACState(g *grid.Grid, opts Options) (*acState, error) {
 		st.qSched[i] = g.Buses[i].Qg - g.Buses[i].Qd
 	}
 	st.posA = make([]int, n)
-	st.posM = make([]int, n)
 	for i := range st.posA {
-		st.posA[i], st.posM[i] = -1, -1
+		st.posA[i] = -1
 	}
 	for k, i := range st.pvpq {
 		st.posA[i] = k
-	}
-	nb := len(st.pvpq)
-	for k, i := range st.pq {
-		st.posM[i] = nb + k
 	}
 	st.pcalc = make([]float64, n)
 	st.qcalc = make([]float64, n)
@@ -228,29 +165,36 @@ func (st *acState) calc() {
 	}
 }
 
-// mismatch fills f with the stacked P (pvpq) and Q (pq) mismatches and
-// returns the max magnitude — the dense solver's convergence metric,
-// unchanged.
-func (st *acState) mismatch(f []float64) float64 {
-	nb := len(st.pvpq)
+// mismatch returns the max P (pvpq) and Q (pq) mismatch magnitude —
+// the dense solver's convergence metric, unchanged.
+func (st *acState) mismatch() float64 {
 	var mx float64
-	for k, i := range st.pvpq {
-		f[k] = st.pcalc[i] - st.pSched[i]
-		if a := math.Abs(f[k]); a > mx {
+	for _, i := range st.pvpq {
+		if a := math.Abs(st.pcalc[i] - st.pSched[i]); a > mx {
 			mx = a
 		}
 	}
-	for k, i := range st.pq {
-		f[nb+k] = st.qcalc[i] - st.qSched[i]
-		if a := math.Abs(f[nb+k]); a > mx {
+	for _, i := range st.pq {
+		if a := math.Abs(st.qcalc[i] - st.qSched[i]); a > mx {
 			mx = a
 		}
 	}
 	return mx
 }
 
-// solveACDecoupled runs the XB fast-decoupled iteration.
-func solveACDecoupled(g *grid.Grid, opts Options) (*Solution, error) {
+// solveACSparse is SolveAC on the CSR path: identical state setup and
+// mismatch definition (max |ΔP|, |ΔQ| in p.u.), but the iteration is
+// fast-decoupled (XB scheme): the P–θ half-step solves the constant
+// series-reactance Laplacian B′ and the Q–V half-step the constant
+// −Im(Ybus) matrix B″, both SPD for inductive transmission grids and
+// both solved by Jacobi-preconditioned CG. The matrices never change
+// across iterations, and every inner solve is O(nnz·iters) instead of
+// the dense path's O(n³) LU. A capacitive B″ or a CG breakdown fails
+// the solve; divergence, a stall, or an exhausted budget fail it with
+// ErrNoConvergence, which callers treat as an infeasible operating
+// point (the grid builder sheds load, dataset generation drops the
+// scenario).
+func solveACSparse(g *grid.Grid, opts Options) (*Solution, error) {
 	st, err := newACState(g, opts)
 	if err != nil {
 		return nil, err
@@ -288,8 +232,7 @@ func solveACDecoupled(g *grid.Grid, opts Options) (*Solution, error) {
 
 	// B″: −Im(Ybus) restricted to PQ buses (shunts, charging, and taps
 	// included). Inductive grids make it SPD; if shunt compensation
-	// breaks that, CG's curvature check reports it and the Newton
-	// fallback takes over.
+	// breaks that, CG's curvature check fails the solve.
 	var bpp *mat.Sparse
 	if nq > 0 {
 		qpos := make([]int, st.n)
@@ -314,18 +257,17 @@ func solveACDecoupled(g *grid.Grid, opts Options) (*Solution, error) {
 	cgOpts := mat.CGOptions{Tol: 1e-10, MaxIter: 40 * dim}
 	fp := make([]float64, nb)
 	fq := make([]float64, nq)
-	f := make([]float64, dim)
 	// The decoupled iteration converges linearly, so give it more outer
 	// steps than Newton's default before declaring failure — but bail
 	// out early on divergence or stall, so infeasible draws (the
 	// builder's load-shedding loop probes many) fail cheaply instead of
-	// burning the full budget before the Newton fallback runs.
+	// burning the full budget.
 	maxIter := 6 * opts.MaxIter
 	best := math.Inf(1)
 	stall := 0
 	for iter := 0; iter <= maxIter; iter++ {
 		st.calc()
-		mx := st.mismatch(f)
+		mx := st.mismatch()
 		if mx < opts.Tol {
 			return &Solution{Vm: st.vm, Va: st.va, Iterations: iter, Mismatch: mx}, nil
 		}
@@ -345,7 +287,7 @@ func solveACDecoupled(g *grid.Grid, opts Options) (*Solution, error) {
 		for k, i := range st.pvpq {
 			fp[k] = (st.pcalc[i] - st.pSched[i]) / st.vm[i]
 		}
-		dva, err := mat.SolveCGOp(bp, fp, cgOpts)
+		dva, err := mat.SolveCG(bp, fp, cgOpts)
 		if err != nil {
 			return nil, fmt.Errorf("powerflow: decoupled P-theta solve: %w", err)
 		}
@@ -358,7 +300,7 @@ func solveACDecoupled(g *grid.Grid, opts Options) (*Solution, error) {
 			for k, i := range st.pq {
 				fq[k] = (st.qcalc[i] - st.qSched[i]) / st.vm[i]
 			}
-			dvm, err := mat.SolveCGOp(bpp, fq, cgOpts)
+			dvm, err := mat.SolveCG(bpp, fq, cgOpts)
 			if err != nil {
 				return nil, fmt.Errorf("powerflow: decoupled Q-V solve: %w", err)
 			}
@@ -371,143 +313,6 @@ func solveACDecoupled(g *grid.Grid, opts Options) (*Solution, error) {
 		}
 	}
 	return nil, fmt.Errorf("%w after %d decoupled iterations", ErrNoConvergence, maxIter)
-}
-
-// solveACSparseNewton is the full-Newton sparse fallback: the dense
-// solver's exact iteration with sparse Jacobian assembly and CGNR
-// inner solves (dense LU backing those).
-func solveACSparseNewton(g *grid.Grid, opts Options) (*Solution, error) {
-	st, err := newACState(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	nb, nq := len(st.pvpq), len(st.pq)
-	dim := nb + nq
-	if dim == 0 {
-		return &Solution{Vm: st.vm, Va: st.va}, nil
-	}
-
-	f := make([]float64, dim)
-	var iter int
-	for iter = 0; iter <= opts.MaxIter; iter++ {
-		st.calc()
-		mx := st.mismatch(f)
-		if mx < opts.Tol {
-			return &Solution{Vm: st.vm, Va: st.va, Iterations: iter, Mismatch: mx}, nil
-		}
-		if math.IsNaN(mx) || mx > 1e6 {
-			return nil, fmt.Errorf("%w: Newton iteration diverged (mismatch %g)", ErrNoConvergence, mx)
-		}
-		if iter == opts.MaxIter {
-			break
-		}
-		js := jacobianSparse(st.adj, st.vm, st.va, st.pcalc, st.qcalc, st.pvpq, st.pq, st.posA, st.posM)
-		dx, err := solveNewtonStep(js, f, iter)
-		if err != nil {
-			return nil, err
-		}
-		for k, i := range st.pvpq {
-			st.va[i] -= dx[k]
-		}
-		for k, i := range st.pq {
-			st.vm[i] -= dx[nb+k]
-			if st.vm[i] < 0.2 {
-				st.vm[i] = 0.2 // keep the iteration away from voltage collapse
-			}
-		}
-	}
-	return nil, fmt.Errorf("%w after %d iterations", ErrNoConvergence, opts.MaxIter)
-}
-
-// luFallbackDim caps the dense-LU rescue inside the sparse Newton
-// path: above this system size an O(dim³) factorization costs more
-// than reporting failure (callers shed load or drop the scenario), so
-// the iterative error propagates instead.
-const luFallbackDim = 800
-
-// solveNewtonStep solves J dx = f by preconditioned CGNR with a loose
-// forcing tolerance (inexact Newton: the outer iteration checks true
-// power mismatch, so the step only needs to point the right way),
-// falling back to dense LU on breakdown for systems small enough that
-// the O(dim³) rescue is cheaper than failing.
-func solveNewtonStep(js *mat.Sparse, f []float64, iter int) ([]float64, error) {
-	dim := len(f)
-	op := newNormalEqOp(js)
-	rhs := js.MulVecT(f)
-	dx, cgErr := mat.SolveCGOp(op, rhs, mat.CGOptions{Tol: 1e-6, MaxIter: 4 * dim})
-	if cgErr == nil {
-		return dx, nil
-	}
-	if dim > luFallbackDim {
-		return nil, fmt.Errorf("powerflow: Newton step CGNR failed at iteration %d: %w", iter, cgErr)
-	}
-	lu, err := mat.FactorLU(js.ToDense())
-	if err != nil {
-		return nil, fmt.Errorf("powerflow: singular Jacobian at iteration %d: %w", iter, err)
-	}
-	dx, err = lu.Solve(f)
-	if err != nil {
-		return nil, fmt.Errorf("powerflow: Jacobian solve failed: %w", err)
-	}
-	return dx, nil
-}
-
-// jacobianSparse assembles the polar Newton-Raphson Jacobian as CSR
-// triplets using the exact per-entry identities of the dense jacobian
-// (powerflow.go), walking only stored admittance entries.
-//
-//gridlint:unit vm pu
-//gridlint:unit va rad
-func jacobianSparse(adj *ybusAdj, vm, va, pcalc, qcalc []float64, pvpq, pq []int, posA, posM []int) *mat.Sparse {
-	nb, nq := len(pvpq), len(pq)
-	dim := nb + nq
-	trips := make([]mat.Triplet, 0, 4*len(adj.cols))
-	for _, i := range pvpq {
-		ri := posA[i]
-		var gii, bii float64
-		for kk := adj.rowPtr[i]; kk < adj.rowPtr[i+1]; kk++ {
-			if adj.cols[kk] == i {
-				gii, bii = adj.gv[kk], adj.bv[kk]
-				break
-			}
-		}
-		// Diagonal terms in P_calc/Q_calc form.
-		trips = append(trips, mat.Triplet{Row: ri, Col: ri, Val: -qcalc[i] - bii*vm[i]*vm[i]})
-		if qi := posM[i]; qi >= 0 {
-			trips = append(trips,
-				mat.Triplet{Row: ri, Col: qi, Val: pcalc[i]/vm[i] + gii*vm[i]},
-				mat.Triplet{Row: qi, Col: ri, Val: pcalc[i] - gii*vm[i]*vm[i]},
-				mat.Triplet{Row: qi, Col: qi, Val: qcalc[i]/vm[i] - bii*vm[i]},
-			)
-		}
-		for kk := adj.rowPtr[i]; kk < adj.rowPtr[i+1]; kk++ {
-			k := adj.cols[kk]
-			if k == i {
-				continue
-			}
-			gik, bik := adj.gv[kk], adj.bv[kk]
-			d := va[i] - va[k]
-			c, s := math.Cos(d), math.Sin(d)
-			vivk := vm[i] * vm[k]
-			dpdva := vivk * (gik*s - bik*c)
-			dqdva := -vivk * (gik*c + bik*s)
-			dpdvm := vm[i] * (gik*c + bik*s)
-			dqdvm := vm[i] * (gik*s - bik*c)
-			if ck := posA[k]; ck >= 0 {
-				trips = append(trips, mat.Triplet{Row: ri, Col: ck, Val: dpdva})
-				if qi := posM[i]; qi >= 0 {
-					trips = append(trips, mat.Triplet{Row: qi, Col: ck, Val: dqdva})
-				}
-			}
-			if ck := posM[k]; ck >= 0 {
-				trips = append(trips, mat.Triplet{Row: ri, Col: ck, Val: dpdvm})
-				if qi := posM[i]; qi >= 0 {
-					trips = append(trips, mat.Triplet{Row: qi, Col: ck, Val: dqdvm})
-				}
-			}
-		}
-	}
-	return mat.NewSparse(dim, dim, trips)
 }
 
 // solveDCSparse solves the reduced DC system B' θ = P with CG on a CSR
@@ -557,7 +362,7 @@ func solveDCSparse(g *grid.Grid) (*Solution, error) {
 	for k, i := range idx {
 		p[k] = g.Buses[i].Pg - g.Buses[i].Pd
 	}
-	th, err := mat.SolveCGOp(b, p, mat.CGOptions{Tol: 1e-12, MaxIter: 20 * len(idx)})
+	th, err := mat.SolveCG(b, p, mat.CGOptions{Tol: 1e-12, MaxIter: 20 * len(idx)})
 	if err != nil {
 		return nil, fmt.Errorf("powerflow: DC solve failed (islanded grid?): %w", err)
 	}

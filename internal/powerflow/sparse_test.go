@@ -1,6 +1,7 @@
 package powerflow
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -188,5 +189,51 @@ func TestSparseACPowerBalance(t *testing.T) {
 		if math.Abs(real(s)-wantP) > 1e-7 || math.Abs(imag(s)-wantQ) > 1e-7 {
 			t.Fatalf("bus %d injection (%v) != scheduled (%v, %v)", i, s, wantP, wantQ)
 		}
+	}
+}
+
+// TestSparseDenseVerdictParity pins the property that lets the sparse
+// path run one fast-decoupled iteration with no fallback: across meshed
+// grids pushed from light load to past the nose of the PV curve, with
+// lossy branches, the sparse solver converges exactly when dense
+// Newton–Raphson (the oracle) does, and every sparse failure is typed
+// ErrNoConvergence.
+func TestSparseDenseVerdictParity(t *testing.T) {
+	converged, failed := 0, 0
+	for _, n := range []int{40, 60} {
+		for _, load := range []float64{1, 4, 8} {
+			for _, rScale := range []float64{1, 6} {
+				for seed := int64(1); seed <= 3; seed++ {
+					g := randMeshedGrid(rand.New(rand.NewSource(seed*1000+int64(n))), n)
+					for i := range g.Buses {
+						g.Buses[i].Pd *= load
+						g.Buses[i].Qd *= load
+						g.Buses[i].Pg *= load
+					}
+					for i := range g.Branches {
+						g.Branches[i].R *= rScale
+					}
+					_, dErr := SolveAC(g, Options{FlatStart: true, Solver: SolverDense})
+					_, sErr := SolveAC(g, Options{FlatStart: true, Solver: SolverSparse})
+					if (dErr == nil) != (sErr == nil) {
+						t.Fatalf("n=%d load×%g R×%g seed %d: dense err %v, sparse err %v",
+							n, load, rScale, seed, dErr, sErr)
+					}
+					if sErr != nil && !errors.Is(sErr, ErrNoConvergence) {
+						t.Fatalf("n=%d load×%g R×%g seed %d: sparse failure not ErrNoConvergence: %v",
+							n, load, rScale, seed, sErr)
+					}
+					if sErr == nil {
+						converged++
+					} else {
+						failed++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d grids converge on both paths, %d fail on both", converged, failed)
+	if converged == 0 || failed == 0 {
+		t.Fatalf("table no longer spans both verdicts (%d converge, %d fail)", converged, failed)
 	}
 }

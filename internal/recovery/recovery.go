@@ -92,25 +92,6 @@ func SubspaceImpute(basis *mat.Dense, x []float64, missing []bool) ([]float64, e
 	return out, nil
 }
 
-// ImputeError returns the root-mean-square error of imputed entries
-// against the ground truth, and the count of imputed entries.
-func ImputeError(truth, imputed []float64, missing []bool) (float64, int) {
-	var sum float64
-	n := 0
-	for i, m := range missing {
-		if !m {
-			continue
-		}
-		d := truth[i] - imputed[i]
-		sum += d * d
-		n++
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return math.Sqrt(sum / float64(n)), n
-}
-
 // CompleteOptions configures the ALS matrix completion.
 type CompleteOptions struct {
 	Rank   int     // target rank (default 3)

@@ -157,6 +157,19 @@ func TestSolveCGSparseDenseParity(t *testing.T) {
 	}
 }
 
+func TestSolveCGOpNonSPDSparse(t *testing.T) {
+	// Negative diagonal assembled directly from triplets.
+	s := NewSparse(2, 2, []Triplet{{0, 0, -1}, {1, 1, 1}})
+	if _, err := SolveCG(s, []float64{1, 1}, CGOptions{}); !errors.Is(err, ErrSingular) {
+		t.Fatalf("want ErrSingular for negative diagonal, got %v", err)
+	}
+	// Indefinite with positive diagonal trips the curvature check.
+	ind := NewSparse(2, 2, []Triplet{{0, 0, 1}, {0, 1, 2}, {1, 0, 2}, {1, 1, 1}})
+	if _, err := SolveCG(ind, []float64{1, -1}, CGOptions{}); !errors.Is(err, ErrSingular) {
+		t.Fatalf("want ErrSingular for indefinite matrix, got %v", err)
+	}
+}
+
 func TestSolveCGMaxIterExhaustion(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := 30

@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet lint lint-report test race scale-test perfbench-check bench bench-full bench-serve bench-serve-smoke serve-smoke smoke-scale soak-smoke verify
+.PHONY: build vet lint lint-report test race scale-test perfbench-check bench serve-smoke smoke-scale soak-smoke verify
 
 build:
 	$(GO) build ./...
@@ -40,37 +40,21 @@ perfbench-check:
 	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./... && $(GO) test ./...
 
 # One-iteration benchmark smoke: catches benchmarks that panic or no
-# longer compile without paying for stable timings. The pipeline benches
-# additionally run at -cpu 1,4 (sequential vs parallel, identical
-# output), and benchpipeline writes the timings to the untracked
-# .bench_out/BENCH_pipeline.json, leaving the committed artifact alone.
-# The telemetry hot path (histogram observe, counter inc, trace-ID mint)
-# gets enough iterations for a readable ns/op, since its whole contract
-# is "cheap enough to leave on".
+# longer compile without paying for stable timings. -short skips the
+# 1000-bus rows of BenchmarkPowerFlowScaling (each dense 1000-bus AC
+# solve takes seconds). The pipeline benches additionally run at
+# -cpu 1,4 (sequential vs parallel, identical output). The telemetry
+# hot path (histogram observe, counter inc, trace-ID mint) gets enough
+# iterations for a readable ns/op, since its whole contract is "cheap
+# enough to leave on". Last, the two serving ratio gates run without
+# race instrumentation (they skip under -race): binary frame decode at
+# least 2x faster than JSON, and tracing-on binary ingest within 1.5x of
+# tracing-off.
 bench:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
+	$(GO) test -short -run='^$$' -bench=. -benchtime=1x ./...
 	$(GO) test -run='^$$' -bench=Pipeline -benchtime=1x -cpu 1,4 .
 	$(GO) test -run='^$$' -bench='Histogram|CounterInc|NewTraceID' -benchtime=10000x ./internal/obs
-	mkdir -p .bench_out
-	$(GO) run ./cmd/benchpipeline -o .bench_out/BENCH_pipeline.json
-
-# Full benchmark including the 1000-bus power-flow scaling rows (each
-# dense 1000-bus AC solve takes seconds, so verify runs the plain bench
-# target instead). This is what the committed BENCH_pipeline.json is
-# produced with.
-bench-full:
-	$(GO) run ./cmd/benchpipeline -full -o BENCH_pipeline.json
-
-# Serving benchmark: open-loop QPS tiers against the real HTTP handler
-# in both ingest modes (JSON and binary wire frames), plus the ingress
-# decode comparison. Writes BENCH_serve.json; the smoke variant runs one
-# abbreviated tier and skips the file, but still asserts the binary
-# decode is allocation-free and at least 2x faster than JSON.
-bench-serve:
-	$(GO) run ./cmd/benchserve -o BENCH_serve.json
-
-bench-serve-smoke:
-	$(GO) run ./cmd/benchserve -smoke
+	$(GO) test -count=1 -run='^(TestBinaryDecodeSpeedup|TestTracingOverhead)$$' ./internal/httpserve
 
 # Serving smoke: boot cmd/outaged on an ephemeral port with one fast
 # shard, round-trip a detect request over real HTTP (via the client
@@ -103,6 +87,6 @@ soak-smoke:
 	$(GO) run ./cmd/outagesoak -smoke
 
 # The tier-1 gate (see ROADMAP.md): build, vet, gridlint, race tests,
-# uninstrumented scale tests, the perfbench module, benchmark smoke,
-# serving smokes.
-verify: build vet lint race scale-test perfbench-check bench bench-serve-smoke serve-smoke smoke-scale soak-smoke
+# uninstrumented scale tests, the perfbench module, benchmark smoke and
+# serving ratio gates, serving smokes.
+verify: build vet lint race scale-test perfbench-check bench serve-smoke smoke-scale soak-smoke

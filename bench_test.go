@@ -174,11 +174,24 @@ func BenchmarkAblationProximity(b *testing.B) {
 
 // --- parallel-pipeline benchmarks ---
 //
-// These two run the worker-pooled stages with Workers = 0 (GOMAXPROCS),
-// so `go test -bench=Pipeline -cpu 1,4` measures the sequential baseline
+// These run the worker-pooled stages — dataset generation, training,
+// the Fig. 10 Monte Carlo — with Workers = 0 (GOMAXPROCS), so
+// `go test -bench=Pipeline -cpu 1,4` measures the sequential baseline
 // and the 4-way speedup of the same byte-identical computation.
-// cmd/benchpipeline runs the identical workloads standalone and writes
-// BENCH_pipeline.json for `make bench`.
+
+// BenchmarkPipelineGenerateIEEE30DC measures parallel dataset
+// generation — one DC solve per (outage, step) — at the current
+// GOMAXPROCS.
+func BenchmarkPipelineGenerateIEEE30DC(b *testing.B) {
+	g := cases.IEEE30()
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dataset.GenerateContext(ctx, g, dataset.GenConfig{Steps: 20, Seed: 1, UseDC: true, Workers: 0}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkPipelineTrainIEEE30 measures the parallel training path —
 // per-line SVDs, per-node subspaces, Eq. 5–7 capability tables — at the
@@ -279,15 +292,49 @@ func BenchmarkMLRTrainIEEE14(b *testing.B) {
 	}
 }
 
-// BenchmarkACPowerFlowIEEE118 measures one cold Newton-Raphson solve of
-// the largest system — the inner loop of data generation.
-func BenchmarkACPowerFlowIEEE118(b *testing.B) {
-	g := cases.IEEE118()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := powerflow.SolveAC(g, powerflow.Options{FlatStart: true}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkPowerFlowScaling is the power-flow scaling ladder: one cold
+// (flat-start) AC solve and one DC solve per grid size on both solver
+// backends, named <grid>/<dense|sparse>/<ac|dc>. Every (grid, solver)
+// pair computes the same solution (the parity tests in
+// internal/powerflow pin this), so the dense/sparse ratio shows where
+// the SparseBusThreshold dispatch pays off. ieee118/dense/ac is the
+// Newton-Raphson solve of the largest paper system, the inner loop of
+// AC data generation. The synth1000 rows skip under -short: each dense
+// 1000-bus AC solve takes seconds.
+func BenchmarkPowerFlowScaling(b *testing.B) {
+	solvers := []struct {
+		name string
+		s    powerflow.Solver
+	}{{"dense", powerflow.SolverDense}, {"sparse", powerflow.SolverSparse}}
+	for _, name := range []string{"ieee14", "ieee30", "ieee57", "ieee118", "synth300", "synth1000"} {
+		b.Run(name, func(b *testing.B) {
+			if name == "synth1000" && testing.Short() {
+				b.Skip("dense 1000-bus AC takes seconds per solve")
+			}
+			g, err := cases.Load(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, sv := range solvers {
+				// Flat start: the built-in grids store their solved state,
+				// and a warm start from the exact solution converges before
+				// any factorization runs — measuring nothing.
+				b.Run(sv.name+"/ac", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := powerflow.SolveAC(g, powerflow.Options{Solver: sv.s, FlatStart: true}); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				b.Run(sv.name+"/dc", func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := powerflow.SolveDCWith(g, sv.s); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
 	}
 }
 

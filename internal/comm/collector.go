@@ -113,10 +113,11 @@ type Collector struct {
 	out         chan Assembled
 	wake        chan struct{}
 
-	// sink, when set, replaces the Samples channel; sinkMu serializes
-	// its invocations across the delivery goroutines.
-	sink   atomic.Pointer[func(Assembled)]
-	sinkMu sync.Mutex
+	// sink, when set, replaces the Samples channel. deliverMu
+	// serializes deliveries across the PDC readers and the deadline
+	// loop (see deliver).
+	sink      atomic.Pointer[func(Assembled)]
+	deliverMu sync.Mutex
 
 	ln net.Listener
 
@@ -260,9 +261,9 @@ func (c *Collector) SetLogger(lg *slog.Logger) {
 }
 
 // SetSink routes assembled samples to fn instead of the Samples
-// channel — the typed emission stream the detection service attaches
-// via Service.CollectorSink. Set it before PDC traffic flows. fn is
-// invoked one sample at a time (never concurrently) and must not
+// channel — the typed emission stream a consumer such as the detection
+// service's StreamIngest attaches to. Set it before PDC traffic flows.
+// fn is invoked one sample at a time (never concurrently) and must not
 // block: the network readers and the deadline loop wait on it.
 func (c *Collector) SetSink(fn func(Assembled)) {
 	if fn == nil {
@@ -534,19 +535,22 @@ func (c *Collector) markEmittedLocked(seq int) {
 
 // deliver hands one emission to the consumer with no collector lock
 // held, so a slow sink or a full channel can never stall the network
-// path. Delivery happens before the triggering call (ingest, Flush,
-// Close) returns.
+// path. Deliveries are serialized: the sink sees one sample at a time,
+// and since only deliver sends on c.out, room seen in the channel is
+// still there at the send. That lets the counters move before the
+// handoff, so a consumer reading Stats after it receives a sample
+// always finds it counted. Delivery happens before the triggering call
+// (ingest, Flush, Close) returns.
 func (c *Collector) deliver(em emission) {
 	asm := Assembled{Seq: em.seq, Sample: em.sample}
+	c.deliverMu.Lock()
+	defer c.deliverMu.Unlock()
 	if p := c.sink.Load(); p != nil {
-		c.callSink(*p, asm)
 		c.noteEmitted(em)
+		(*p)(asm)
 		return
 	}
-	select {
-	case c.out <- asm:
-		c.noteEmitted(em)
-	default:
+	if len(c.out) == cap(c.out) {
 		// A stalled consumer must not deadlock the network path; the
 		// sample is dropped like any other late data.
 		c.droppedFull.Inc()
@@ -554,16 +558,10 @@ func (c *Collector) deliver(em emission) {
 			lg.LogAttrs(context.Background(), slog.LevelWarn, "sample dropped: consumer stalled",
 				slog.Int("seq", em.seq))
 		}
+		return
 	}
-}
-
-// callSink serializes sink invocations: emissions can originate from
-// any PDC reader or the deadline loop concurrently, but the sink sees
-// one sample at a time.
-func (c *Collector) callSink(fn func(Assembled), a Assembled) {
-	c.sinkMu.Lock()
-	defer c.sinkMu.Unlock()
-	fn(a)
+	c.noteEmitted(em)
+	c.out <- asm
 }
 
 func (c *Collector) noteEmitted(em emission) {

@@ -404,22 +404,3 @@ func sortInts(v []int) {
 		}
 	}
 }
-
-// AlgebraicConnectivity returns the Fiedler value — the second-smallest
-// eigenvalue of the weighted Laplacian. It is positive exactly when the
-// in-service grid is connected, and its magnitude measures how far the
-// topology is from splitting: a spectral early-warning companion to the
-// boolean Connected check.
-func (g *Grid) AlgebraicConnectivity() (float64, error) {
-	n := g.N()
-	if n < 2 {
-		return 0, fmt.Errorf("grid %q: need at least 2 buses for connectivity spectrum", g.Name)
-	}
-	e, err := mat.FactorEigenSym(g.Laplacian(), 0)
-	if err != nil {
-		return 0, fmt.Errorf("grid %q: %w", g.Name, err)
-	}
-	// Values are sorted decreasing; the Fiedler value is the second
-	// smallest.
-	return e.Values[n-2], nil
-}

@@ -297,37 +297,3 @@ func TestTotalLoad(t *testing.T) {
 		t.Fatalf("TotalLoad = %v", got)
 	}
 }
-
-func TestAlgebraicConnectivity(t *testing.T) {
-	g := ring(8)
-	l2, err := g.AlgebraicConnectivity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Ring of 8 with weights 1/X = 10: lambda_2 = 10 * 2(1-cos(2pi/8)).
-	want := 10 * 2 * (1 - math.Cos(2*math.Pi/8))
-	if math.Abs(l2-want) > 1e-6 {
-		t.Fatalf("Fiedler value = %v, want %v", l2, want)
-	}
-	// Removing one ring line weakens but keeps connectivity.
-	weak, err := g.WithoutLine(0).AlgebraicConnectivity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if weak <= 0 || weak >= l2 {
-		t.Fatalf("weakened Fiedler value = %v, want in (0, %v)", weak, l2)
-	}
-	// Islanding drives it to zero.
-	split, err := g.WithoutLines([]Line{0, 4}).AlgebraicConnectivity()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(split) > 1e-8 {
-		t.Fatalf("islanded Fiedler value = %v, want 0", split)
-	}
-	// Degenerate sizes error.
-	tiny := &Grid{Name: "tiny", Buses: []Bus{{ID: 1, Type: Slack}}}
-	if _, err := tiny.AlgebraicConnectivity(); err == nil {
-		t.Fatal("expected error for 1-bus grid")
-	}
-}

@@ -7,8 +7,9 @@
 // service.Ingest path, so detection events are byte-identical across
 // them (pinned by TestBinaryIngestMatchesJSON).
 //
-// The package exists so cmd/outaged, cmd/benchserve, and tests share
-// one handler implementation instead of re-wiring routes per binary.
+// The package exists so cmd/outaged, cmd/outagesoak, the repository
+// benchmark, and tests share one handler implementation instead of
+// re-wiring routes per binary.
 package httpserve
 
 import (
@@ -132,28 +133,16 @@ func (s *Server) Routes() http.Handler {
 }
 
 // instrument is the telemetry middleware: it resolves the request's
-// trace ID (a caller's X-Trace-Id is kept so traces span services, one
-// is minted otherwise), carries it on the context through every layer,
-// echoes it on the response — success or error — and records the
-// per-route counter, error counter, latency histogram, and one
-// structured access line.
+// trace ID (a well-formed caller ID is kept so traces span services,
+// one is minted otherwise; see obs.IncomingTrace), carries it on the
+// context through every layer, echoes it on the response — success or
+// error — and records the per-route counter, error counter, latency
+// histogram, and one structured access line.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		// Traceparent (trace ID + caller's span) wins over the plain
-		// X-Trace-Id; either way a caller-supplied ID is kept so
-		// traces span services, and one is minted otherwise.
-		var remoteParent uint64
-		id := r.Header.Get(obs.TraceHeader)
-		if tp, parent, ok := obs.ParseTraceParent(r.Header.Get(obs.TraceParentHeader)); ok {
-			id, remoteParent = tp, parent
-		}
-		if id == "" {
-			id = obs.NewTraceID()
-		}
+		ctx, id := obs.IncomingTrace(r.Context(), r.Header)
 		w.Header().Set(obs.TraceHeader, id)
-		ctx := obs.WithTraceID(r.Context(), id)
-		ctx = obs.WithRemoteParent(ctx, remoteParent)
 		ctx, span := s.svc.Tracer().StartSpan(ctx, stageHTTP)
 		if span != nil {
 			span.SetAttr(labelPath, r.URL.Path)

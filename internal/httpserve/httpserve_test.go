@@ -241,8 +241,8 @@ type seqEvent struct {
 }
 
 // TestFleetToDetectorE2E wires the whole streaming pipeline: a PMU/PDC
-// fleet over real TCP feeds a collector whose sink is the service's
-// StreamIngest adapter; every confirmed event must be byte-identical to
+// fleet over real TCP feeds a collector whose sink packs each assembled
+// sample into a wire frame for the service's StreamIngest; every confirmed event must be byte-identical to
 // replaying the exact assembled samples — missing measurements included
 // — through the JSON /v1/ingest endpoint of a twin service booted from
 // the same artifact.
@@ -277,12 +277,21 @@ func TestFleetToDetectorE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	var order []comm.Assembled
-	sink := svcStream.CollectorSink("east")
 	col.SetSink(func(a comm.Assembled) {
 		mu.Lock()
 		order = append(order, a)
 		mu.Unlock()
-		sink(a)
+		// The collector has no retry lane: a sample the shard cannot
+		// accept is dropped, and the shard's counters record it.
+		f := wire.GetFrame()
+		if err := f.Pack(uint32(a.Seq), a.Sample.Vm, a.Sample.Va, a.Sample.Mask); err != nil {
+			t.Errorf("pack seq %d: %v", a.Seq, err)
+			wire.PutFrame(f)
+			return
+		}
+		if err := svcStream.StreamIngest("east", f); err != nil {
+			wire.PutFrame(f)
+		}
 	})
 
 	// Two PDCs splitting the grid, one PMU per bus, lossless transport;
@@ -405,7 +414,8 @@ func TestFleetToDetectorE2E(t *testing.T) {
 
 // BenchmarkIngestJSON and BenchmarkIngestBinary measure the two HTTP
 // transports end to end against a parked monitor path (handler decode +
-// synchronous scoring), for the ingress section of cmd/benchserve.
+// synchronous scoring). The decode-only comparison is the ratio gate
+// TestBinaryDecodeSpeedup.
 func BenchmarkIngestJSON(b *testing.B) {
 	base, sample := benchServer(b)
 	body, err := json.Marshal(IngestRequest{Shard: "east", Sample: sample})

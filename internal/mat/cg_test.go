@@ -10,6 +10,17 @@ import (
 
 // csr converts a dense fixture to CSR, keeping only the exactly
 // nonzero entries, so CG tests can state their systems densely.
+// randSPD builds a dense symmetric positive-definite matrix: A*Aᵀ
+// shifted by n on the diagonal.
+func randSPD(rng *rand.Rand, n int) *Dense {
+	a := randDense(rng, n, n)
+	spd := a.Mul(a.T())
+	for i := 0; i < n; i++ {
+		spd.Add(i, i, float64(n))
+	}
+	return spd
+}
+
 func csr(d *Dense) *Sparse {
 	r, c := d.Dims()
 	var trips []Triplet

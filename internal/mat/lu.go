@@ -12,9 +12,8 @@ var ErrSingular = errors.New("mat: matrix is singular")
 
 // LU holds an LU factorization with partial pivoting: P*A = L*U.
 type LU struct {
-	lu   *Dense // combined L (unit lower) and U storage
-	piv  []int  // row permutation
-	sign int    // determinant sign of the permutation
+	lu  *Dense // combined L (unit lower) and U storage
+	piv []int  // row permutation
 }
 
 // FactorLU computes the LU factorization of the square matrix a with
@@ -29,7 +28,6 @@ func FactorLU(a *Dense) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Pivot: largest |value| in column k at or below the diagonal.
 		p := k
@@ -49,7 +47,6 @@ func FactorLU(a *Dense) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu.data[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -65,7 +62,7 @@ func FactorLU(a *Dense) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve solves A*x = b for a single right-hand side.
@@ -119,16 +116,6 @@ func (f *LU) SolveMat(b *Dense) (*Dense, error) {
 		out.SetCol(j, x)
 	}
 	return out, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	d := float64(f.sign)
-	for i := 0; i < n; i++ {
-		d *= f.lu.data[i*n+i]
-	}
-	return d
 }
 
 // Solve solves the square system a*x = b using LU with partial pivoting.

@@ -70,29 +70,6 @@ func TestLUNonSquare(t *testing.T) {
 	}
 }
 
-func TestLUDet(t *testing.T) {
-	a := NewDenseData(2, 2, []float64{1, 2, 3, 4})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Det(); math.Abs(got-(-2)) > 1e-12 {
-		t.Fatalf("Det = %v, want -2", got)
-	}
-}
-
-func TestLUDetPermutationSign(t *testing.T) {
-	// This matrix forces a row swap in the first elimination step.
-	a := NewDenseData(2, 2, []float64{0, 1, 1, 0})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Det(); math.Abs(got-(-1)) > 1e-12 {
-		t.Fatalf("Det = %v, want -1", got)
-	}
-}
-
 func TestInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 6

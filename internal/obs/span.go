@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"net/http"
 	"sync"
 	"time"
 
@@ -67,6 +68,24 @@ func ParseTraceParent(v string) (traceID string, parent uint64, ok bool) {
 		return "", 0, false
 	}
 	return traceID, parent, true
+}
+
+// IncomingTrace resolves an inbound request's trace context and carries
+// it on ctx. A well-formed Traceparent wins (trace ID plus the caller's
+// span as remote parent), then a well-formed X-Trace-Id (16 lowercase
+// hex characters, as NewTraceID mints); a caller ID in any other shape
+// is replaced by a fresh one, so every ID relayed downstream renders to
+// a valid Traceparent. It returns the new context and the trace ID to
+// echo on the response.
+func IncomingTrace(ctx context.Context, h http.Header) (context.Context, string) {
+	id, parent, ok := ParseTraceParent(h.Get(TraceParentHeader))
+	if !ok {
+		id = h.Get(TraceHeader)
+		if _, ok := parseID(id); !ok {
+			id = NewTraceID()
+		}
+	}
+	return WithRemoteParent(WithTraceID(ctx, id), parent), id
 }
 
 // spanCtxKey keys the active *Span in a context.

@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"errors"
+	"net/http"
 	"testing"
 	"time"
 
@@ -34,6 +35,71 @@ func TestTraceParentRoundTrip(t *testing.T) {
 	} {
 		if _, _, ok := ParseTraceParent(bad); ok {
 			t.Errorf("ParseTraceParent(%q) accepted malformed header", bad)
+		}
+	}
+}
+
+// FuzzParseTraceParent: ParseTraceParent never panics, every value it
+// accepts re-formats to a header that parses back to the same (trace,
+// parent) pair, and IncomingTrace turns any caller X-Trace-Id into one
+// FormatTraceParent can carry.
+func FuzzParseTraceParent(f *testing.F) {
+	f.Add("00-0123456789abcdef-deadbeef01020304-01")
+	f.Add("00-0123456789abcdef-0000000000000000-ff")
+	f.Add("00-AAAAAAAAAAAAAAAA-bbbbbbbbbbbbbbbb-01")
+	f.Add("abc")
+	f.Add("")
+	f.Fuzz(func(t *testing.T, v string) {
+		if id, parent, ok := ParseTraceParent(v); ok {
+			id2, parent2, ok2 := ParseTraceParent(FormatTraceParent(id, parent))
+			if !ok2 || id2 != id || parent2 != parent {
+				t.Fatalf("%q parsed to (%q, %x) but re-formats to (%q, %x, %v)", v, id, parent, id2, parent2, ok2)
+			}
+		}
+		h := http.Header{}
+		h.Set(TraceHeader, v)
+		_, id := IncomingTrace(context.Background(), h)
+		if got, _, ok := ParseTraceParent(FormatTraceParent(id, 1)); !ok || got != id {
+			t.Fatalf("X-Trace-Id %q resolved to %q, which does not survive a Traceparent round trip", v, id)
+		}
+	})
+}
+
+// TestIncomingTrace pins the ingress precedence: a valid Traceparent
+// wins, then a valid X-Trace-Id; a malformed caller ID is replaced by a
+// minted one rather than relayed.
+func TestIncomingTrace(t *testing.T) {
+	const (
+		tid   = "0123456789abcdef"
+		other = "fedcba9876543210"
+	)
+	resolve := func(tp, xid string) (string, uint64) {
+		h := http.Header{}
+		if tp != "" {
+			h.Set(TraceParentHeader, tp)
+		}
+		if xid != "" {
+			h.Set(TraceHeader, xid)
+		}
+		ctx, id := IncomingTrace(context.Background(), h)
+		if got := TraceID(ctx); got != id {
+			t.Fatalf("context carries %q, returned %q", got, id)
+		}
+		return id, ParentSpanID(ctx)
+	}
+	if id, parent := resolve(FormatTraceParent(tid, 7), other); id != tid || parent != 7 {
+		t.Fatalf("traceparent: got (%q, %d), want (%q, 7)", id, parent, tid)
+	}
+	if id, parent := resolve("00-garbage", other); id != other || parent != 0 {
+		t.Fatalf("malformed traceparent: got (%q, %d), want (%q, 0)", id, parent, other)
+	}
+	for _, bad := range []string{"", "abc", "0123456789ABCDEF", "0123456789abcdef0"} {
+		id, parent := resolve("", bad)
+		if id == bad || parent != 0 {
+			t.Fatalf("X-Trace-Id %q: got (%q, %d), want a minted ID", bad, id, parent)
+		}
+		if _, ok := parseID(id); !ok {
+			t.Fatalf("X-Trace-Id %q: minted %q is not 16 lowercase hex", bad, id)
 		}
 	}
 }

@@ -371,23 +371,16 @@ func (w *statusWriter) WriteHeader(status int) {
 	w.ResponseWriter.WriteHeader(status)
 }
 
-// traceMiddleware resolves each request's trace context (a caller's
-// Traceparent or X-Trace-Id is kept so traces span caller, router, and
-// backend; an ID is minted otherwise), opens the root route span, and
-// echoes trace and span IDs on the response. With no Tracer configured
-// the span calls are nil receivers — zero allocation, ID echo only.
+// traceMiddleware resolves each request's trace context (a well-formed
+// caller Traceparent or X-Trace-Id is kept so traces span caller,
+// router, and backend; an ID is minted otherwise; see
+// obs.IncomingTrace), opens the root route span, and echoes trace and
+// span IDs on the response. With no Tracer configured the span calls
+// are nil receivers — zero allocation, ID echo only.
 func (r *Router) traceMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		id, remoteParent, ok := obs.ParseTraceParent(req.Header.Get(obs.TraceParentHeader))
-		if !ok {
-			id = req.Header.Get(obs.TraceHeader)
-		}
-		if id == "" {
-			id = obs.NewTraceID()
-		}
+		ctx, id := obs.IncomingTrace(req.Context(), req.Header)
 		w.Header().Set(obs.TraceHeader, id)
-		ctx := obs.WithTraceID(req.Context(), id)
-		ctx = obs.WithRemoteParent(ctx, remoteParent)
 		ctx, span := r.tracer.StartSpan(ctx, stageRoute)
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		if span != nil {

@@ -637,3 +637,30 @@ func TestEjectionAndReadmission(t *testing.T) {
 	down.Store(false)
 	waitHealthy(true)
 }
+
+// TestMalformedTraceIDNotRelayed: a caller's X-Trace-Id that is not 16
+// lowercase hex characters is replaced at the router, not copied into
+// the Traceparent relayed to backends. Relaying it produced a header
+// net/http refuses to send, so every attempt failed as a transport
+// error and one request ejected the whole fleet.
+func TestMalformedTraceIDNotRelayed(t *testing.T) {
+	b1 := newStubBackend(t, nil)
+	b2 := newStubBackend(t, nil)
+	rt, ts := newTestRouter(t, Config{Backends: []string{b1.ts.URL, b2.ts.URL}})
+
+	resp, body := postDetect(t, ts.URL, map[string]string{obs.TraceHeader: "abc"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("detect with X-Trace-Id abc: HTTP %d: %s", resp.StatusCode, body)
+	}
+	if id := resp.Header.Get(obs.TraceHeader); id == "abc" || len(id) != 16 {
+		t.Fatalf("echoed trace ID %q, want a freshly minted 16-hex ID", id)
+	}
+	if n := b1.detects.Load() + b2.detects.Load(); n != 1 {
+		t.Fatalf("backends served %d detects, want 1", n)
+	}
+	for i, b := range rt.primary.backends {
+		if n := b.ejections.Load(); n != 0 {
+			t.Fatalf("backend %d ejected %d times", i, n)
+		}
+	}
+}

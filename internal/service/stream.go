@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pmuoutage"
-	"pmuoutage/internal/comm"
 	"pmuoutage/internal/wire"
 )
 
@@ -49,25 +48,5 @@ func (s *Service) StreamIngest(shardName string, f *wire.Frame) error {
 	default:
 		st.Shed.Add(1)
 		return ErrOverloaded
-	}
-}
-
-// CollectorSink adapts StreamIngest to the comm.Collector's sink
-// signature: attach it with Collector.SetSink and every assembled
-// sample flows device→PDC→collector→detector with no JSON hop. Frames
-// are pooled; samples a shard cannot accept (not ready, shed, wrong
-// size) are dropped — the collector's at-most-once emission contract
-// has no retry lane, and the shard's Unavailable/Shed counters record
-// every drop.
-func (s *Service) CollectorSink(shardName string) func(comm.Assembled) {
-	return func(a comm.Assembled) {
-		f := wire.GetFrame()
-		if err := f.Pack(uint32(a.Seq), a.Sample.Vm, a.Sample.Va, a.Sample.Mask); err != nil {
-			wire.PutFrame(f)
-			return
-		}
-		if err := s.StreamIngest(shardName, f); err != nil {
-			wire.PutFrame(f)
-		}
 	}
 }
